@@ -204,7 +204,7 @@ def criterion_4(
             Check(
                 f"{key}-enumerated",
                 PASS if sol.mode == "full" else FAIL,
-                f"mode={sol.mode}, |M'|={sol.n_elements}",
+                f"mode={sol.mode}, |M'|={len(sol.mprime.elements)}",
             )
         )
         want = builtin_group(EXPECTED_SUBGROUP[key])

@@ -9,9 +9,7 @@ builds a monoid of block matrices realizing H as the maximal subgroup over
 the base, together with the maps rho and theta that certify the extension.
 
 Everything a verification report claims is recomputed from products of the
-actual elements; the only shortcuts are the documented sampling policies
-and the ideal certification used when a cover is too large for the generic
-Green machinery.
+actual elements; the only shortcuts are the documented sampling policies.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Optional
 from .core import (
     DEFAULT_CAP,
     FiniteGroup,
-    FiniteMonoid,
     MonoidHom,
     canonical_section,
     generate_monoid,
@@ -50,7 +47,6 @@ from .errors import (
 )
 from .green import (
     REES_EXHAUSTIVE_LIMIT,
-    MinimalIdeal,
     check_min_ideal_image,
     idempotent_generated,
     maximal_subgroup,
@@ -58,6 +54,7 @@ from .green import (
     rees_coordinates,
 )
 from .report import FAIL, PASS, SKIPPED, Check, ConstructionReport
+from .srank import _is_prime
 from .wreath import (
     BlockRowMonomialMatrix,
     is_faithful_on_min_ideal,
@@ -65,9 +62,6 @@ from .wreath import (
     schutz_rep,
 )
 
-# covers above this size skip the generic Green machinery and certify the
-# constant part as the minimal ideal instead
-GREEN_LIMIT = 3000
 DECOMP_SAMPLE = 20_000
 WORD_SAMPLE = 50
 PREIMAGE_LIMIT = 4096
@@ -114,17 +108,6 @@ def _power(x: Element, k: int, mul, ident: Element) -> Element:
     return acc
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _next_prime(start: int) -> int:
     q = max(start, 2)
     while not _is_prime(q):
@@ -169,25 +152,6 @@ def cover_modulus_bound(h) -> int:
     return max(2, 2 * len(underlying(h).elements) - 1)
 
 
-def _certified_constant_ideal(m: FiniteMonoid, mul) -> MinimalIdeal:
-    """The constant-column part of a cover, certified as its minimal ideal.
-
-    The set absorbs both generators on both sides, hence is an ideal; the
-    caller's Rees coordinatization then certifies it simple, and a simple
-    ideal equals the minimal ideal it contains.
-    """
-    const = [u for u in m.elements if _constant_col(u) is not None]
-    if not const:
-        raise InternalInconsistency("cover has no constant-column elements")
-    member = set(const)
-    for u in const:
-        for g in m.generators:
-            if mul(u, g) not in member or mul(g, u) not in member:
-                raise InternalInconsistency("constant part is not closed under the generators")
-    idems = [u for u in const if mul(u, u) == u]
-    return MinimalIdeal(m, const, idems)
-
-
 def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
                            cap: int = DEFAULT_CAP) -> CoverResult:
     """Cover of H by <x, y> inside H wr (shift of Z_n plus constants).
@@ -195,7 +159,8 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     x cycles the n points with identity entries; row i of y holds the i-th
     group element under the constant-to-0 map, padding with the identity,
     which needs n >= max(2, 2|H| - 1).  Auto mode enumerates the closure
-    whenever the size bound n + n|H|^n + 1 fits the cap.
+    whenever the size bound n + n|H|^n + 1 fits the cap; full mode always
+    enumerates it, and the cap applies to the closure actually reached.
     """
     if mode not in ("auto", "full", "cheap"):
         raise ValueError(f"unknown cover mode {mode!r}")
@@ -208,22 +173,16 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     x = row_monomial(((i + 1) % n, ident) for i in range(n))
     y = row_monomial((0, hm.elements[i] if i < order else ident) for i in range(n))
     mul = make_rowmono_mul(h.mul)
-    estimate = n + order ** n * n + 1
     if mode == "auto":
-        mode = "full" if estimate <= cap else "cheap"
+        mode = "full" if n + order ** n * n + 1 <= cap else "cheap"
     if mode == "cheap":
         return CoverResult(h, n, "cheap", x, y, mul, None, None, None, None)
-    if estimate > cap:
-        raise CapExceeded(cap, estimate)
     monoid = generate_monoid(
         [x, y], mul, cap=cap,
         identity=identity_row_monomial(n, ident),
         name=f"cover[{hm.name},{n}]",
     )
-    if len(monoid.elements) <= GREEN_LIMIT:
-        ideal = minimal_ideal(monoid)
-    else:
-        ideal = _certified_constant_ideal(monoid, mul)
+    ideal = minimal_ideal(monoid)
     rees = rees_coordinates(monoid, ideal, y)
     theta_map = {z: z.data[0][1] for z in rees.group.elements}
     theta = MonoidHom(rees.group, h, theta_map)
@@ -337,6 +296,33 @@ def _check_idempotent_closure(c: CoverResult, seed: int) -> Check:
     return Check("idempotent-closure", PASS, note)
 
 
+def _check_ideal_simple(c: CoverResult) -> Check:
+    """I is the Rees matrix semigroup [n_a] x G x [n_b] with its sandwich
+    matrix inside G, hence completely simple.
+
+    Rees coordinatization already checked the coordinates multiplicative;
+    this re-derives from the stored data that they biject I with the full
+    box, with ``point`` inverse to ``coord``, and that no sandwich entry is
+    missing or outside G.
+    """
+    rc = c.rees
+    gset = set(rc.group.elements)
+    box = f"{rc.n_a}x{len(gset)}x{rc.n_b}"
+    if len(c.ideal.elements) != rc.n_a * len(gset) * rc.n_b:
+        return Check("ideal-simple", FAIL, f"|I|={len(c.ideal.elements)} does not fill {box}")
+    # coord is then injective into a box of |I| cells, hence onto it
+    for x in c.ideal.elements:
+        k = rc.coord.get(x)
+        inside = k is not None and 0 <= k[0] < rc.n_a and k[1] in gset and 0 <= k[2] < rc.n_b
+        if not inside or rc.point.get(k) != x:
+            return Check("ideal-simple", FAIL, f"{short_str(x)} has no coordinates in {box} leading back to it")
+    for b in range(rc.n_b):
+        for a in range(rc.n_a):
+            if rc.sandwich.get((b, a)) not in gset:
+                return Check("ideal-simple", FAIL, f"sandwich entry ({b}, {a}) is not in G")
+    return Check("ideal-simple", PASS, f"coordinatized {box}")
+
+
 def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> ConstructionReport:
     """Report on every structural claim the cover makes.
 
@@ -387,11 +373,10 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
                      f"|G_y|={len(c.rees.group.elements)}, |H|={len(hm.elements)}"))
 
     const = {u for u in c.monoid.elements if _constant_col(u) is not None}
-    how = "independent recomputation" if len(c.monoid.elements) <= GREEN_LIMIT else "certified ideal"
-    report.add(Check("ideal-is-constants", PASS if const == c.ideal.member else FAIL, how))
+    report.add(Check("ideal-is-constants", PASS if const == c.ideal.member else FAIL,
+                     "independent recomputation"))
 
-    report.add(Check("ideal-simple", PASS,
-                     f"coordinatized {c.rees.n_a}x{len(c.rees.group.elements)}x{c.rees.n_b}"))
+    report.add(_check_ideal_simple(c))
 
     report.add(_check_idempotent_closure(c, seed))
 

@@ -1,4 +1,4 @@
-"""Finite monoids, groups, homomorphisms, sections, and pullbacks.
+"""Finite monoids, groups, homomorphisms, and sections.
 
 A :class:`FiniteMonoid` is a fully enumerated monoid: a tuple of elements
 with the identity first, a product function, a distinguished generator list,
@@ -146,7 +146,7 @@ def generate_monoid(
 
     Returns the smallest product-closed set containing the seeds and the
     identity, as a :class:`FiniteMonoid` whose element order is breadth-first
-    by word length with ties broken by canonical encoding.  The witness word
+    by word length with ties broken by canonical key.  The witness word
     recorded for each element is its first discovery.
 
     The identity is inferred for transformation seeds and must be supplied
@@ -435,11 +435,6 @@ class MonoidHom:
         return frozenset(x for x, y in self.map.items() if y == tgt.identity)
 
 
-def identity_hom(g) -> MonoidHom:
-    m = underlying(g)
-    return MonoidHom(g, g, {x: x for x in m.elements}, check=False)
-
-
 class Section:
     """A choice of preimages for a surjective group homomorphism."""
 
@@ -474,39 +469,6 @@ def canonical_section(alpha: MonoidHom) -> Section:
         if alpha.map[h] != k:
             raise NotWellDefined("section disagrees with the map")
     return Section(alpha, {k: mapping[k] for k in tgt.elements})
-
-
-def pullback(alpha: MonoidHom, rho: MonoidHom):
-    """Fiber product of two surjections onto a common group.
-
-    Returns ``(P, p1, p2)`` where P is the subgroup of pairs (h, k) with
-    alpha(h) = rho(k) and p1, p2 are the coordinate projections, both
-    surjective.
-    """
-    k_a = underlying(alpha.target)
-    k_r = underlying(rho.target)
-    if k_a.elements != k_r.elements:
-        raise NotWellDefined("the two maps have different codomains")
-    if not alpha.is_surjective() or not rho.is_surjective():
-        raise NotSurjective("pullback requires surjective maps")
-    src_a = underlying(alpha.source)
-    src_r = underlying(rho.source)
-    pairs = [
-        tuple_element((h, k))
-        for h in src_a.elements
-        for k in src_r.elements
-        if alpha.map[h] == rho.map[k]
-    ]
-    mul = make_tuple_mul((src_a.mul, src_r.mul))
-    ident = tuple_element((src_a.identity, src_r.identity))
-    name = f"pullback({src_a.name},{src_r.name})"
-    pm = monoid_from_elements(pairs, mul, ident, name=name)
-    group = FiniteGroup.from_monoid(pm)
-    p1 = MonoidHom(pm, alpha.source, {x: x.data[0] for x in pm.elements})
-    p2 = MonoidHom(pm, rho.source, {x: x.data[1] for x in pm.elements})
-    if not p1.is_surjective() or not p2.is_surjective():
-        raise NotSurjective("pullback projection failed to be onto")
-    return group, p1, p2
 
 
 def small_generating_set(g: FiniteGroup):
@@ -609,10 +571,6 @@ def product_group(groups, name: Optional[str] = None) -> FiniteGroup:
     return FiniteGroup.from_monoid(pm)
 
 
-def direct_product(g1: FiniteGroup, g2: FiniteGroup, name=None) -> FiniteGroup:
-    return product_group([g1, g2], name=name)
-
-
 def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
     if k == 0:
         ident = tuple_element(())
@@ -624,14 +582,13 @@ def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
 class SubSemigroup:
     """A product-closed subset of an ambient monoid."""
 
-    __slots__ = ("monoid", "elements", "member", "_gens")
+    __slots__ = ("monoid", "elements", "member")
 
     def __init__(self, monoid: FiniteMonoid, elements, check: bool = True):
         self.monoid = monoid
         order = monoid.index
         self.elements = tuple(sorted(set(elements), key=lambda x: order[x]))
         self.member = frozenset(self.elements)
-        self._gens = None
         if check:
             mul = monoid.mul
             for a in self.elements:
@@ -651,27 +608,3 @@ class SubSemigroup:
     def idempotents(self):
         mul = self.monoid.mul
         return tuple(x for x in self.elements if mul(x, x) == x)
-
-    def generating_set(self):
-        """Greedy small generating set of the subsemigroup."""
-        if self._gens is not None:
-            return self._gens
-        mul = self.monoid.mul
-        gens = []
-        closed = set()
-        for x in self.elements:
-            if x not in closed:
-                gens.append(x)
-                closed = set(gens)
-                frontier = list(gens)
-                while frontier:
-                    fresh = []
-                    for u in frontier:
-                        for g in gens:
-                            v = mul(u, g)
-                            if v not in closed:
-                                closed.add(v)
-                                fresh.append(v)
-                    frontier = fresh
-        self._gens = tuple(gens)
-        return self._gens

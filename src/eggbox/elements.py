@@ -15,11 +15,10 @@ immutable value of one of four kinds:
     holds exactly one non-zero entry, stored as ``(column, entry)`` with a
     0-based column and an :class:`Element` entry.
 ``tuple``
-    a componentwise product of elements, used for direct products and
-    pullbacks.
+    a componentwise product of elements, used for direct products.
 
-Elements order and hash by a canonical nested-tuple key, which is also the
-basis of the byte encoding used for deterministic tie-breaking.  Iteration
+Elements order and hash by a canonical nested-tuple key, which is also what
+deterministic tie-breaking compares.  Iteration
 order of results throughout the library is derived from these keys and from
 breadth-first discovery order, never from Python set iteration, so output is
 stable across processes and hash seeds.
@@ -53,10 +52,6 @@ class Element:
 
     def __le__(self, other):
         return self.key <= other.key
-
-    def encoding(self) -> bytes:
-        """Canonical byte encoding; equal elements encode identically."""
-        return repr(self.key).encode("ascii")
 
     def __repr__(self):
         return f"<{short_str(self)}>"

@@ -1,14 +1,16 @@
 """Green's relations, minimal ideals, maximal subgroups, Rees coordinates.
 
-The classification works by explicit ideal comparison, which is exact and
-fast at desk scale: the right ideal xM and left ideal Mx are materialized
-for every element (2|M|^2 products total), classes are equal-ideal groups,
-and the two-sided ideal MxM is assembled as a union of already-known right
-ideals, so the J-classification costs no further products.  Orders between
-classes are pairwise ideal containment over class representatives.
+The classification follows Froidure and Pin: the right Cayley graph of M
+over its generators has an edge x -> xa for every generator a, the left
+graph an edge x -> ax, so building both costs 2|M||A| products for a
+generating set A.  Since M is generated by A, y lies in xM exactly when a
+path leads from x to y in the right graph, so the R-classes are its
+strongly connected components; likewise the L-classes are those of the left
+graph and the J-classes those of the two graphs together, and H = R ∩ L.
 
-A minimal ideal is the least J-class; the library re-verifies I = MxM for
-every x in I before handing the ideal out.
+A J-class that no edge leaves is closed under the generators on both
+sides, hence an ideal; the minimal ideal is the one such class, and the
+library refuses to hand one out unless there is exactly one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ REES_SAMPLE_COUNT = 20_000
 
 
 class GreenStructure:
-    """Eggbox data of a monoid: the four partitions plus class ideals."""
+    """Eggbox data of a monoid: the four partitions, and in ``j_sinks`` the
+    J-classes that no Cayley-graph edge leaves, i.e. those closed under the
+    generators on both sides."""
 
     __slots__ = (
         "monoid",
@@ -52,20 +56,16 @@ class GreenStructure:
         "l_class_of",
         "j_class_of",
         "h_class_of",
-        "r_ideal",
-        "l_ideal",
-        "j_ideal",
+        "j_sinks",
     )
 
-    def __init__(self, monoid, r, l, j, h, r_ideal, l_ideal, j_ideal):
+    def __init__(self, monoid, r, l, j, h, j_sinks):
         self.monoid = monoid
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
         self.j_classes, self.j_class_of = j
         self.h_classes, self.h_class_of = h
-        self.r_ideal = r_ideal
-        self.l_ideal = l_ideal
-        self.j_ideal = j_ideal
+        self.j_sinks = j_sinks
 
     def class_counts(self):
         return (
@@ -74,21 +74,6 @@ class GreenStructure:
             len(self.j_classes),
             len(self.h_classes),
         )
-
-    # preorders: x below y means the ideal of x is contained in the ideal
-    # of y, tested by membership since ideals are closed downward
-    def r_leq(self, x: Element, y: Element) -> bool:
-        return x in self.r_ideal[y]
-
-    def l_leq(self, x: Element, y: Element) -> bool:
-        return x in self.l_ideal[y]
-
-    def j_leq(self, x: Element, y: Element) -> bool:
-        return x in self.j_ideal[self.j_class_of[y]]
-
-    def j_class_leq(self, ci: int, cj: int) -> bool:
-        """Containment of class ideals, compared on representatives."""
-        return self.j_classes[ci][0] in self.j_ideal[cj]
 
 
 def _group_classes(elements, value_of):
@@ -110,34 +95,88 @@ def _group_classes(elements, value_of):
     return tuple(tuple(c) for c in classes), class_of
 
 
+def _components(succ):
+    """Strongly connected component number of every vertex of the graph on
+    0..n-1 with successor lists ``succ``.
+
+    Tarjan's algorithm with an explicit stack of (vertex, successor
+    iterator) frames, so path length is bounded by memory, not by the
+    interpreter's recursion limit.  A visited vertex without a component
+    is still on the Tarjan stack.
+    """
+    n = len(succ)
+    order = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack = []
+    seen = 0
+    found = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, edges = frames[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                frames.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp
+
+
 def green_structure(m: FiniteMonoid) -> GreenStructure:
     """Classify M under Green's relations R, L, J, H (cached on M)."""
     if m._green is not None:
         return m._green
     els = m.elements
     mul = m.mul
-    r_ideal = {x: frozenset(mul(x, u) for u in els) for x in els}
-    l_ideal = {x: frozenset(mul(u, x) for u in els) for x in els}
-    r = _group_classes(els, r_ideal.__getitem__)
-    l = _group_classes(els, l_ideal.__getitem__)
+    idx = m.index
+    gens = m.generators
+    right = [[idx[mul(x, a)] for a in gens] for x in els]
+    left = [[idx[mul(a, x)] for a in gens] for x in els]
+    both = [rx + lx for rx, lx in zip(right, left)]
+    r_comp = _components(right)
+    l_comp = _components(left)
+    j_comp = _components(both)
 
-    # MxM = union of uM over u in Mx; constant on R-classes, so compute
-    # once per R-class and share
-    r_classes, r_class_of = r
-    rep_two_sided = []
-    for cls in r_classes:
-        rep = cls[0]
-        two = set()
-        for u in l_ideal[rep]:
-            two |= r_ideal[u]
-        rep_two_sided.append(frozenset(two))
-    j = _group_classes(els, lambda x: rep_two_sided[r_class_of[x]])
-    j_classes, j_class_of = j
-    j_ideal = tuple(rep_two_sided[r_class_of[cls[0]]] for cls in j_classes)
+    def by(comp):
+        return _group_classes(els, lambda x: comp[idx[x]])
 
-    l_class_of = l[1]
+    r = by(r_comp)
+    l = by(l_comp)
+    j = by(j_comp)
+    r_class_of, l_class_of = r[1], l[1]
     h = _group_classes(els, lambda x: (r_class_of[x], l_class_of[x]))
-    gs = GreenStructure(m, r, l, j, h, r_ideal, l_ideal, j_ideal)
+
+    # a J-class is a sink when no edge of either graph leaves it
+    exits = set()
+    for i, succ in enumerate(both):
+        for w in succ:
+            if j_comp[w] != j_comp[i]:
+                exits.add(j_comp[i])
+    j_sinks = tuple(ci for ci, cls in enumerate(j[0]) if j_comp[idx[cls[0]]] not in exits)
+    gs = GreenStructure(m, r, l, j, h, j_sinks)
     m._green = gs
     return gs
 
@@ -166,23 +205,18 @@ class MinimalIdeal:
 
 
 def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
-    """The unique minimal two-sided ideal, re-verified as MxM for every x."""
+    """The unique minimal two-sided ideal.
+
+    Green's classification already tested every J-class for closure under
+    the generators on both sides, edge by edge of the Cayley graphs.  A
+    closed class is an ideal, and one is reachable from every element, so
+    exactly one closed class must exist and it is MxM for each of its x.
+    """
     gs = green_structure(m)
-    best = min(range(len(gs.j_classes)), key=lambda ci: len(gs.j_ideal[ci]))
-    for ci in range(len(gs.j_classes)):
-        if not gs.j_ideal[best] <= gs.j_ideal[ci]:
-            raise InternalInconsistency("no least J-class; minimal ideal not unique")
-    members = gs.j_classes[best]
-    ideal_set = gs.j_ideal[best]
-    if set(members) != ideal_set:
-        raise InternalInconsistency("least J-class does not equal its own ideal")
-    # I = MxM for every x in I, assembled from the cached right ideals
-    for x in members:
-        two = set()
-        for u in gs.l_ideal[x]:
-            two |= gs.r_ideal[u]
-        if two != ideal_set:
-            raise InternalInconsistency(f"MxM differs from the minimal ideal at {x!r}")
+    if len(gs.j_sinks) != 1:
+        raise InternalInconsistency(f"{len(gs.j_sinks)} J-classes are closed under the generators; "
+                                    "the minimal ideal must be the only one")
+    members = gs.j_classes[gs.j_sinks[0]]
     mul = m.mul
     idem = [x for x in members if mul(x, x) == x]
     if not idem:

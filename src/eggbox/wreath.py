@@ -93,42 +93,6 @@ def rm_multiply(x: RowMonomialMatrix, y: RowMonomialMatrix) -> RowMonomialMatrix
     return RowMonomialMatrix(x.entry_monoid, mul(x.element, y.element))
 
 
-class WreathElement:
-    """The (f, t) form of a wreath product element."""
-
-    __slots__ = ("entry_monoid", "f", "t")
-
-    def __init__(self, entry_monoid: FiniteMonoid, f, t):
-        self.entry_monoid = entry_monoid
-        self.f = tuple(f)
-        self.t = tuple(t)
-        if len(self.f) != len(self.t):
-            raise NotRowMonomial("f and t have different lengths")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathElement)
-            and self.f == other.f
-            and self.t == other.t
-        )
-
-    def __repr__(self):
-        return f"WreathElement(f={self.f!r}, t={self.t!r})"
-
-
-def wreath_to_rm(w: WreathElement) -> RowMonomialMatrix:
-    """Matrix with row i holding f(i) in column t(i)."""
-    return RowMonomialMatrix(w.entry_monoid, tuple(zip(w.t, w.f)))
-
-
-def rm_to_wreath(x: RowMonomialMatrix) -> WreathElement:
-    if not isinstance(x, RowMonomialMatrix):
-        raise NotRowMonomial(f"{x!r} is not a row-monomial matrix")
-    cols = tuple(c for c, _ in x.rows)
-    vals = tuple(v for _, v in x.rows)
-    return WreathElement(x.entry_monoid, vals, cols)
-
-
 class BlockRowMonomialMatrix:
     """A row-monomial matrix whose entries are row-monomial matrices.
 
@@ -192,19 +156,6 @@ def block_rm_multiply(x: BlockRowMonomialMatrix, y: BlockRowMonomialMatrix) -> B
 
 def constant_transformation(n: int, target: int) -> Element:
     return transformation([target] * n)
-
-
-def augmented_monoid(n: int, transformations, cap: int = DEFAULT_CAP, name=None) -> FiniteMonoid:
-    """Transformation monoid on [n] generated by the given maps together
-    with all n constant maps."""
-    seeds = list(transformations) + [constant_transformation(n, i) for i in range(n)]
-    return generate_monoid(seeds, compose_transformations, cap=cap, name=name or f"aug[{n}]")
-
-
-def augmented_cyclic(n: int, cap: int = DEFAULT_CAP) -> FiniteMonoid:
-    """The cyclic rotation of [n] together with all constants."""
-    cycle = transformation([(i + 1) % n for i in range(n)])
-    return augmented_monoid(n, [cycle], cap=cap, name=f"augC{n}")
 
 
 class ConstantWreath:

@@ -75,7 +75,7 @@ def test_cover_modulus_too_small(capsys):
 
 
 def test_cover_cap_exceeded(capsys):
-    code, _, err = run(capsys, "cover", "S3", "11", "--mode", "full")
+    code, _, err = run(capsys, "cover", "S3", "11", "--mode", "full", "--cap", "100")
     assert code == 3
     assert "cap" in err
 

@@ -85,25 +85,37 @@ def test_cover_auto_mode_respects_cap():
     # the candidate bound for S3 at n = 11 dwarfs any usable cap
     c = build_idempotent_cover(builtin_group("S3"), 11)
     assert c.mode == "cheap"
-    with pytest.raises(CapExceeded):
-        build_idempotent_cover(builtin_group("S3"), 11, mode="full")
+    # full mode caps the actual closure, which has 737 elements
+    with pytest.raises(CapExceeded) as exc:
+        build_idempotent_cover(builtin_group("S3"), 11, mode="full", cap=100)
+    assert 100 < exc.value.reached <= 737
 
 
-def test_cover_certified_ideal_at_scale():
-    # n = 40 pushes |M| past the exact-Green limit and |J| past the
-    # exhaustive decomposition limit, forcing the certified code paths;
-    # the a-priori size bound is loose, so the cap must be lifted to
-    # reach the (much smaller) actual closure
+def test_cover_ideal_recomputed_at_scale():
+    # n = 40 pushes |J| past the exhaustive decomposition limit, so the
+    # factorization is sampled; the minimal ideal still comes from the same
+    # Green computation as for small covers, under the default cap
     h = builtin_group("C2")
-    c = build_idempotent_cover(h, 40, mode="full", cap=10**14)
+    c = build_idempotent_cover(h, 40, mode="full")
     # n cyclic units (identity included) plus the n x |H| x n ideal
     assert len(c.monoid.elements) == 40 + 40 * 2 * 40
     report = verify_cover(c)
     assert report.passed
     names = {ch.name: ch for ch in report.checks}
-    assert "certified" in names["ideal-is-constants"].witness
+    assert names["ideal-is-constants"].witness == "independent recomputation"
     assert "sampled" in names["idempotent-closure"].witness
     assert "idempotent-closure-exhaustive" not in names
+
+
+def test_cover_ideal_simple_detects_a_bad_sandwich_entry():
+    c = build_idempotent_cover(builtin_group("C3"), 5)
+    names = {ch.name: ch for ch in verify_cover(c).checks}
+    assert names["ideal-simple"].status == "pass"
+    assert names["ideal-simple"].witness == "coordinatized 5x3x5"
+    c.rees.sandwich[(1, 1)] = c.monoid.identity
+    names = {ch.name: ch for ch in verify_cover(c).checks}
+    assert names["ideal-simple"].status == "fail"
+    assert names["ideal-simple"].witness == "sandwich entry (1, 1) is not in G"
 
 
 def test_check_min_ideal_image_fast_paths_at_scale():

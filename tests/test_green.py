@@ -1,9 +1,16 @@
+import sys
+
 import pytest
 
 from eggbox.constructions import build_idempotent_cover
-from eggbox.core import MonoidHom, SubSemigroup, generate_monoid, underlying
-from eggbox.elements import compose_transformations, transformation
-from eggbox.errors import NotIdempotent, NotInMinimalIdeal, NotSurjective
+from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid, underlying
+from eggbox.elements import (
+    compose_transformations,
+    make_table_mul,
+    table_element,
+    transformation,
+)
+from eggbox.errors import InternalInconsistency, NotIdempotent, NotInMinimalIdeal, NotSurjective
 from eggbox.green import (
     check_min_ideal_image,
     green_counts_agree,
@@ -42,12 +49,55 @@ def test_green_counts_on_full_transformation_monoid():
     assert green_counts_agree(m)
 
 
+def test_green_products_are_linear_in_the_generators():
+    # T4 from three generators: both Cayley graphs take 2|M||A| products,
+    # against 2|M|^2 = 131,072 for per-element ideals
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return compose_transformations(a, b)
+
+    seeds = [transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))]
+    m = generate_monoid(seeds, counting, name="T4")
+    assert len(m.elements) == 256
+    count[0] = 0
+    gs = green_structure(m)
+    assert count[0] <= 2 * 256 * 3
+    assert gs.class_counts() == (1 + 6 + 7 + 1, 1 + 4 + 6 + 4, 4, 1 + 24 + 42 + 4)
+    assert green_counts_agree(m)
+
+
+def test_long_chain_classifies_without_recursion():
+    # <t | t^n = t^(n-1)>: a path of n singleton classes down to t^(n-1),
+    # longer than the interpreter's recursion limit
+    n = sys.getrecursionlimit() + 100
+    table = [[min(i + j, n - 1) for j in range(n)] for i in range(n)]
+    mul = make_table_mul(table, "chain")
+    m = generate_monoid([table_element("chain", 1)], mul,
+                        identity=table_element("chain", 0), name="chain")
+    assert len(m.elements) == n
+    gs = green_structure(m)
+    assert gs.class_counts() == (n, n, n, n)
+    ideal = minimal_ideal(m)
+    assert ideal.elements == (table_element("chain", n - 1),)
+
+
 def test_minimal_ideal_of_t3_is_constants():
     m = t3()
     ideal = minimal_ideal(m)
     assert len(ideal) == 3
     assert set(ideal.elements) == naive_minimal_ideal_elements(m)
     assert all(x.data in {(0, 0, 0), (1, 1, 1), (2, 2, 2)} for x in ideal.elements)
+
+
+def test_minimal_ideal_needs_exactly_one_closed_class():
+    # with no generators the Cayley graphs have no edges, so every
+    # J-class looks closed and no minimal ideal can be told apart
+    m = t3()
+    bare = FiniteMonoid("T3-bare", m.elements, m.mul, m.identity, (), m.words)
+    with pytest.raises(InternalInconsistency):
+        minimal_ideal(bare)
 
 
 def test_maximal_subgroup_at_constant_is_trivial():
