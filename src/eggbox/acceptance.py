@@ -269,7 +269,7 @@ def criterion_6(sols=None, covers=None) -> ConstructionReport:
     for name in COVER_GROUPS:
         c = covers[name]
         _, onto = rlm(c.monoid, rees=c.rees)
-        sub = check_min_ideal_image(onto, source_ideal=c.ideal, source_rees=c.rees)
+        sub = check_min_ideal_image(onto, source_ideal=c.ideal)
         report.extend(sub, prefix=f"{name}-rlm-")
     return report
 

@@ -100,7 +100,7 @@ def cmd_cover(args) -> int:
     defs = _load(args)
     h = _resolve_group(defs, args.group)
     cover = build_idempotent_cover(h, args.n, mode=args.mode, cap=args.cap)
-    report = verify_cover(cover, seed=args.seed)
+    report = verify_cover(cover)
     if args.out:
         if cover.monoid is None:
             raise UnknownObject("cheap mode builds no monoid to write; use --mode full")
@@ -158,15 +158,12 @@ def cmd_selftest(args) -> int:
     return selftest_report(outcome).exit_code()
 
 
-def _add_common(sub, defs=True, cap=False, seed=False):
+def _add_common(sub, defs=True, cap=False):
     if defs:
         sub.add_argument("--defs", metavar="PATH", help="definition file to load")
     if cap:
         sub.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
                          help="closure size cap")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, metavar="N",
-                         help="verification sampling seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="modulus, at least max(2, 2|H|-1)")
     p.add_argument("--mode", choices=("auto", "full", "cheap"), default="auto")
     p.add_argument("--out", metavar="PATH", help="write the cover as a definition file")
-    _add_common(p, cap=True, seed=True)
+    _add_common(p, cap=True)
     p.set_defaults(func=cmd_cover)
 
     p = subs.add_parser("embed", help="extend a base monoid along a group surjection")
@@ -196,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the modulus prime")
     p.add_argument("--sample", type=int, default=WORD_SAMPLE, metavar="N",
                    help="words sampled by the verifier")
-    _add_common(p, cap=True, seed=True)
+    _add_common(p, cap=True)
+    p.add_argument("--seed", type=int, default=0, metavar="N",
+                   help="verification sampling seed")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("srank", help="S-rank of a group")

@@ -10,12 +10,13 @@ graph and the J-classes those of the two graphs together, and H = R ∩ L.
 
 A J-class that no edge leaves is closed under the generators on both
 sides, hence an ideal; the minimal ideal is the one such class, and the
-library refuses to hand one out unless there is exactly one.
+library refuses to hand one out unless there is exactly one.  The same
+edges certify the Rees coordinates of that ideal, at every size and with
+no sampling.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .core import (
@@ -37,14 +38,13 @@ from .errors import (
 )
 from .report import Check, ConstructionReport
 
-REES_EXHAUSTIVE_LIMIT = 2000
-REES_SAMPLE_COUNT = 20_000
-
 
 class GreenStructure:
-    """Eggbox data of a monoid: the four partitions, and in ``j_sinks`` the
+    """Eggbox data of a monoid: the four partitions, in ``j_sinks`` the
     J-classes that no Cayley-graph edge leaves, i.e. those closed under the
-    generators on both sides."""
+    generators on both sides, and the graphs themselves: ``right[i][t]`` and
+    ``left[i][t]`` are the indices of x·a and a·x for the i-th element x
+    and the t-th generator a."""
 
     __slots__ = (
         "monoid",
@@ -57,15 +57,19 @@ class GreenStructure:
         "j_class_of",
         "h_class_of",
         "j_sinks",
+        "right",
+        "left",
     )
 
-    def __init__(self, monoid, r, l, j, h, j_sinks):
+    def __init__(self, monoid, r, l, j, h, j_sinks, right, left):
         self.monoid = monoid
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
         self.j_classes, self.j_class_of = j
         self.h_classes, self.h_class_of = h
         self.j_sinks = j_sinks
+        self.right = right
+        self.left = left
 
     def class_counts(self):
         return (
@@ -176,7 +180,7 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
             if j_comp[w] != j_comp[i]:
                 exits.add(j_comp[i])
     j_sinks = tuple(ci for ci, cls in enumerate(j[0]) if j_comp[idx[cls[0]]] not in exits)
-    gs = GreenStructure(m, r, l, j, h, j_sinks)
+    gs = GreenStructure(m, r, l, j, h, j_sinks, right, left)
     m._green = gs
     return gs
 
@@ -225,26 +229,19 @@ def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
 
 
 def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[MinimalIdeal] = None) -> FiniteGroup:
-    """Group of units of the local monoid eMe.
-
-    When ``e`` lies in a supplied minimal ideal, eMe is cross-checked
-    against eIe (the two agree for kernel idempotents).
-    """
+    """Group of units of eMe, read off Green's structure as the H-class of e
+    in element order; each member must be fixed by e on both sides and lie
+    in a supplied minimal ideal holding e, and the class must be a group."""
     mul = m.mul
     if mul(e, e) != e:
         raise NotIdempotent(f"{e!r} is not idempotent")
-    order = m.index
-    local = sorted({mul(mul(e, x), e) for x in m.elements}, key=order.__getitem__)
-    units = []
-    for u in local:
-        for v in local:
-            if mul(u, v) == e and mul(v, u) == e:
-                units.append(u)
-                break
-    if ideal is not None and e in ideal:
-        eie = {mul(mul(e, x), e) for x in ideal.elements}
-        if eie != set(local) or eie != set(units):
-            raise InternalInconsistency("eMe, eIe and the unit group disagree at a kernel idempotent")
+    gs = green_structure(m)
+    units = gs.h_classes[gs.h_class_of[e]]
+    for u in units:
+        if mul(e, u) != u or mul(u, e) != u:
+            raise InternalInconsistency(f"{u!r} in the H-class of e is not fixed by e")
+    if ideal is not None and e in ideal and not all(u in ideal for u in units):
+        raise InternalInconsistency("the H-class of a kernel idempotent leaves the minimal ideal")
     gm = generate_monoid(units, mul, identity=e, name=f"G[{m.name}]")
     if len(gm.elements) != len(units):
         raise InternalInconsistency("unit set of eMe is not closed")
@@ -296,15 +293,10 @@ class ReesCoordinates:
     def __repr__(self):
         return f"ReesCoordinates({self.n_a}x{self.n_b}, group order {len(self.group)})"
 
-    def product_by_coordinates(self, cx, cy):
-        a, g, b = cx
-        a2, g2, b2 = cy
-        gmul = self.group.mul
-        return (a, gmul(gmul(g, self.sandwich[(b, a2)]), g2), b2)
-
 
 def rees_coordinates(m: FiniteMonoid, ideal: MinimalIdeal, e: Element) -> ReesCoordinates:
-    """Coordinatize the minimal ideal as a normalized Rees matrix semigroup."""
+    """Coordinatize the minimal ideal as a normalized Rees matrix semigroup,
+    checked on every generator edge by :func:`_check_rees_law`."""
     mul = m.mul
     if e not in ideal:
         raise NotInMinimalIdeal(f"{e!r} is not in the minimal ideal")
@@ -313,28 +305,21 @@ def rees_coordinates(m: FiniteMonoid, ideal: MinimalIdeal, e: Element) -> ReesCo
     group = maximal_subgroup(m, e, ideal=ideal)
     gset = set(group.elements)
 
-    # row label of x: the idempotent of the cell (R-class of x, L-class of e);
-    # column label: the idempotent of (R-class of e, L-class of x)
-    a_labels = []
-    b_labels = []
+    # row label of the R-class of x: the idempotent of the cell (R-class of
+    # x, L-class of e); column label: the idempotent of (R-class of e,
+    # L-class of x); both in order of first appearance in I
+    gs = green_structure(m)
     a_of = {}
     b_of = {}
     for x in ideal.elements:
-        ra = omega_power(m, mul(x, e))
-        if ra not in a_of:
-            a_of[ra] = len(a_labels)
-            a_labels.append(ra)
-        lb = omega_power(m, mul(e, x))
-        if lb not in b_of:
-            b_of[lb] = len(b_labels)
-            b_labels.append(lb)
-
-    def to_front(labels, lab):
-        i = labels.index(lab)
-        return [labels[i]] + labels[:i] + labels[i + 1 :]
-
-    a_labels = to_front(a_labels, e)
-    b_labels = to_front(b_labels, e)
+        r, l = gs.r_class_of[x], gs.l_class_of[x]
+        if r not in a_of:
+            a_of[r] = omega_power(m, mul(x, e))
+        if l not in b_of:
+            b_of[l] = omega_power(m, mul(e, x))
+    # e's own row and column come first, the others keep their order
+    a_labels = sorted(a_of.values(), key=lambda lab: lab != e)
+    b_labels = sorted(b_of.values(), key=lambda lab: lab != e)
 
     # rescale so row b0 and column a0 of the sandwich matrix become 1
     row_reps = []
@@ -377,22 +362,55 @@ def rees_coordinates(m: FiniteMonoid, ideal: MinimalIdeal, e: Element) -> ReesCo
                 point[(a, g, b)] = x
     if len(coord) != len(ideal.elements):
         raise InternalInconsistency("coordinate map misses part of the ideal")
-    if coord[e] != (0, group.identity, 0):
-        raise InternalInconsistency("base idempotent is not at (a0, 1, b0)")
 
     rc = ReesCoordinates(m, ideal, e, group, tuple(row_reps), tuple(col_reps), sandwich, coord, point)
-
-    els = ideal.elements
-    n = len(els)
-    if n <= REES_EXHAUSTIVE_LIMIT:
-        pairs = ((x, y) for x in els for y in els)
-    else:
-        rnd = random.Random(0)
-        pairs = ((els[rnd.randrange(n)], els[rnd.randrange(n)]) for _ in range(REES_SAMPLE_COUNT))
-    for x, y in pairs:
-        if coord[mul(x, y)] != rc.product_by_coordinates(coord[x], coord[y]):
-            raise InternalInconsistency(f"coordinates are not multiplicative on ({x!r}, {y!r})")
+    _check_rees_law(m, rc)
     return rc
+
+
+def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
+    """Check coord(x·y) = coord(x)∘coord(y) on I along generator edges.
+
+    With u_i = ``row_reps[i]``, v_λ = ``col_reps[λ]`` and, per generator a,
+    (0, h, λ′) = coord(v_λ·a) and (i′, k, 0) = coord(a·u_i), every x in I
+    with coord(x) = (i, g, λ) must have coord(x·a) = (i, g·h, λ′) and
+    coord(a·x) = (i′, k·g, λ); also coord(p) = (0, p, 0) for p in G,
+    coord(u_i) = (i, 1, 0) and coord(v_λ) = (0, 1, λ).  x·a and a·x are
+    read off the stored edges and G multiplies by a table: |G|² products.
+
+    This suffices when the product is associative, which generate_monoid
+    tests (every triple up to 200 elements, sampled triples above).  For
+    coord(y) = (j, h, μ), following y's witness word from x along right
+    edges gives coord(x·y) = (i, g·H, μ′) with H, μ′ fixed by λ and y, so
+    coord(v_λ·y) = (0, H, μ′).  Following v_λ's word from y along left
+    edges gives coord(v_λ·y) = (r, K·h, μ) with r, K fixed by λ and j; at
+    y = u_j, v_λ·u_j is the sandwich entry P in G, at (0, P, 0), so K = P.
+    Hence coord(x·y) = (i, g·P·h, μ).
+    """
+    idx = m.index
+    one = rc.group.identity
+    gels = rc.group.elements
+    gpos = {p: k for k, p in enumerate(gels)}
+    gtab = [[gpos[m.mul(p, q)] for q in gels] for p in gels]
+    anchors = [(p, (0, p, 0)) for p in gels] + [(u, (i, one, 0)) for i, u in enumerate(rc.row_reps)]
+    for x, want in anchors + [(v, (0, one, b)) for b, v in enumerate(rc.col_reps)]:
+        if rc.coord.get(x) != want:
+            raise InternalInconsistency(f"{x!r} does not have the coordinates {want!r}")
+    # coordinates by element index, the group part as a table index; edges
+    # from I stay in I, the J-class that no edge leaves
+    cix = {idx[x]: (a, gpos[g], b) for x, (a, g, b) in rc.coord.items()}
+    gs = green_structure(m)
+    right, left = gs.right, gs.left
+    gens = range(len(m.generators))
+    col_step = [[cix[right[idx[v]][t]][1:] for v in rc.col_reps] for t in gens]
+    row_step = [[cix[left[idx[u]][t]][:2] for u in rc.row_reps] for t in gens]
+    for xi, (i, g, b) in cix.items():
+        for t in gens:
+            h, b2 = col_step[t][b]
+            i2, k = row_step[t][i]
+            if cix.get(right[xi][t]) != (i, gtab[g][h], b2) or cix.get(left[xi][t]) != (i2, gtab[k][g], b):
+                raise InternalInconsistency(
+                    f"coordinates are not multiplicative on {m.elements[xi]!r} and generator {t}")
 
 
 def is_simple(s: SubSemigroup) -> bool:
@@ -453,18 +471,13 @@ def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     return SubSemigroup(s.monoid, closed, check=False)
 
 
-def check_min_ideal_image(
-    phi: MonoidHom,
-    source_ideal: Optional[MinimalIdeal] = None,
-    source_rees: Optional["ReesCoordinates"] = None,
-) -> ConstructionReport:
+def check_min_ideal_image(phi: MonoidHom, source_ideal: Optional[MinimalIdeal] = None) -> ConstructionReport:
     """Verify that a surjection carries the minimal ideal onto the minimal
     ideal and each kernel maximal subgroup onto its counterpart.
 
-    Callers that already hold the source's minimal ideal, or a Rees
-    coordinatisation of it, can pass them in; the subgroup comparison then
-    reads each maximal subgroup off its coordinate cell instead of
-    rescanning the source monoid, which matters when the source is large.
+    Callers that already hold the source's minimal ideal can pass it in.
+    Each source subgroup is read off Green's structure as an H-class, with
+    no products, however many idempotents the ideal holds.
     """
     if not phi.is_surjective():
         raise NotSurjective("minimal ideal image check needs a surjective map")
@@ -491,16 +504,10 @@ def check_min_ideal_image(
         report.add(Check("ideal-image", "fail", f"extra={extra[:3]!r} missing={missing[:3]!r}"))
 
     bad = None
+    gs = green_structure(src)
     target_groups = {}  # many source idempotents share one image
     for e in ideal_s.idempotents:
-        if source_rees is not None:
-            # the H-class of e is the cell through its coordinates
-            a, _, b = source_rees.coord[e]
-            cell = (source_rees.point[(a, g, b)] for g in source_rees.group.elements)
-            image_ge = {phi(x) for x in cell}
-        else:
-            ge = maximal_subgroup(src, e, ideal=ideal_s)
-            image_ge = {phi(x) for x in ge.elements}
+        image_ge = {phi(x) for x in gs.h_classes[gs.h_class_of[e]]}
         f = phi(e)
         if f not in target_groups:
             target_groups[f] = set(maximal_subgroup(tgt, f, ideal=ideal_t).elements)

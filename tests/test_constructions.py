@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from eggbox.constructions import (
@@ -91,20 +93,38 @@ def test_cover_auto_mode_respects_cap():
     assert 100 < exc.value.reached <= 737
 
 
-def test_cover_ideal_recomputed_at_scale():
-    # n = 40 pushes |J| past the exhaustive decomposition limit, so the
-    # factorization is sampled; the minimal ideal still comes from the same
-    # Green computation as for small covers, under the default cap
-    h = builtin_group("C2")
-    c = build_idempotent_cover(h, 40, mode="full")
+@pytest.fixture(scope="module")
+def c2_cover_40():
+    return build_idempotent_cover(builtin_group("C2"), 40, mode="full")
+
+
+def test_cover_ideal_recomputed_at_scale(c2_cover_40):
+    # n = 40 puts |J| past the breadth-first idempotent closure limit, but the
+    # factorization still covers every element of J, and the minimal ideal
+    # comes from the same Green computation as for small covers
+    c = c2_cover_40
     # n cyclic units (identity included) plus the n x |H| x n ideal
     assert len(c.monoid.elements) == 40 + 40 * 2 * 40
     report = verify_cover(c)
     assert report.passed
     names = {ch.name: ch for ch in report.checks}
     assert names["ideal-is-constants"].witness == "independent recomputation"
-    assert "sampled" in names["idempotent-closure"].witness
+    assert "exhaustive" in names["idempotent-closure"].witness
     assert "idempotent-closure-exhaustive" not in names
+
+
+def test_cover_factorization_detects_a_bad_coordinate(c2_cover_40):
+    # one element of the 3,200-element ideal given the other group value
+    # fails its factorization, which is checked for every element
+    c = copy.copy(c2_cover_40)
+    c.rees = copy.copy(c.rees)
+    c.rees.coord = dict(c.rees.coord)
+    u = c.ideal.elements[-1]
+    a, g, b = c.rees.coord[u]
+    c.rees.coord[u] = (a, next(h for h in c.rees.group.elements if h != g), b)
+    names = {ch.name: ch for ch in verify_cover(c).checks}
+    assert names["idempotent-closure"].status == "fail"
+    assert names["idempotent-closure"].witness.endswith("is not its own three-idempotent product")
 
 
 def test_cover_ideal_simple_detects_a_bad_sandwich_entry():
@@ -118,13 +138,13 @@ def test_cover_ideal_simple_detects_a_bad_sandwich_entry():
     assert names["ideal-simple"].witness == "sandwich entry (1, 1) is not in G"
 
 
-def test_check_min_ideal_image_fast_paths_at_scale():
+def test_check_min_ideal_image_fast_paths_at_scale(c2_cover_40):
     from eggbox.green import check_min_ideal_image
     from eggbox.wreath import rlm
 
-    c = build_idempotent_cover(builtin_group("C2"), 40, mode="full", cap=10**14)
+    c = c2_cover_40
     _, onto = rlm(c.monoid, rees=c.rees)
-    report = check_min_ideal_image(onto, source_ideal=c.ideal, source_rees=c.rees)
+    report = check_min_ideal_image(onto, source_ideal=c.ideal)
     assert report.passed
 
 

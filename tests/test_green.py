@@ -137,6 +137,80 @@ def test_rees_multiplication_rule():
             assert rc.coord[mul(u, v)] == (a, h, bp)
 
 
+def rees_law_on_all_pairs(m, rc):
+    """Oracle: compare coord(x·y) with the Rees product for all |I|² pairs."""
+    mul = m.mul
+    els = rc.ideal.elements
+
+    def product(cx, cy):
+        (a, g, b), (a2, g2, b2) = cx, cy
+        return (a, mul(mul(g, rc.sandwich[(b, a2)]), g2), b2)
+
+    return all(rc.coord.get(mul(x, y)) == product(rc.coord[x], rc.coord[y]) for x in els for y in els)
+
+
+def monoid_with_one_bad_product(c, gen):
+    """The cover's elements under a product that is wrong on one pair
+    (u, gen), where u lies in row 1 and the last column, and the wrong value
+    shares the H-class of the true one."""
+    rc = c.rees
+    u = next(v for v in c.ideal.elements if rc.coord[v][::2] == (1, rc.n_b - 1))
+    a, g, b = rc.coord[c.mul(u, gen)]
+    other = next(h for h in rc.group.elements if h != g)
+    wrong = rc.point[(a, other, b)]
+
+    def mul(p, q):
+        return wrong if (p == u and q == gen) else c.mul(p, q)
+
+    m = c.monoid
+    return FiniteMonoid("bad", m.elements, mul, m.identity, m.generators, m.words)
+
+
+def test_rees_law_agrees_with_the_all_pairs_oracle():
+    for name, n in (("C2", 3), ("C3", 5), ("C2xC2", 7)):
+        c = build_idempotent_cover(builtin_group(name), n)
+        assert rees_law_on_all_pairs(c.monoid, c.rees)
+    m = t3()
+    ideal = minimal_ideal(m)
+    assert rees_law_on_all_pairs(m, rees_coordinates(m, ideal, ideal.idempotents[0]))
+    # the idempotent generator y lies in I, so both see a bad product by y
+    c = build_idempotent_cover(builtin_group("C2"), 3)
+    bad = monoid_with_one_bad_product(c, c.y)
+    assert not rees_law_on_all_pairs(bad, c.rees)
+    assert green_structure(bad).r_classes == green_structure(c.monoid).r_classes
+    with pytest.raises(InternalInconsistency, match="not multiplicative"):
+        rees_coordinates(bad, minimal_ideal(bad), c.y)
+
+
+def test_rees_coordinates_reject_a_bad_product_by_a_unit():
+    # the shift x is a unit outside I, so no pair of I meets the bad product;
+    # the generator edges of I do, though Green's classes are unchanged
+    c = build_idempotent_cover(builtin_group("C2"), 3)
+    bad = monoid_with_one_bad_product(c, c.x)
+    assert rees_law_on_all_pairs(bad, c.rees)
+    assert green_structure(bad).r_classes == green_structure(c.monoid).r_classes
+    with pytest.raises(InternalInconsistency, match="not multiplicative"):
+        rees_coordinates(bad, minimal_ideal(bad), c.y)
+
+
+def test_rees_coordinates_products_are_linear_in_the_ideal():
+    c = build_idempotent_cover(builtin_group("C3"), 6)
+    count = [0]
+
+    def counting(p, q):
+        count[0] += 1
+        return c.mul(p, q)
+
+    m = c.monoid
+    m = FiniteMonoid("C3-cover", m.elements, counting, m.identity, m.generators, m.words)
+    ideal = minimal_ideal(m)
+    assert len(ideal) == 108
+    count[0] = 0
+    rees_coordinates(m, ideal, c.y)
+    # the all-pairs check alone took |I|² = 11,664
+    assert count[0] <= 20 * len(ideal)
+
+
 def test_is_simple_matches_naive():
     m = t3()
     ideal = minimal_ideal(m)

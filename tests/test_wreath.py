@@ -1,8 +1,8 @@
 import pytest
 
-from eggbox.core import generate_monoid, underlying
+from eggbox.core import MonoidHom, generate_monoid, underlying
 from eggbox.elements import compose_transformations, transformation
-from eggbox.errors import NotIdempotent, NotInLocalMonoid
+from eggbox.errors import NotIdempotent, NotInLocalMonoid, NotWellDefined
 from eggbox.green import minimal_ideal, rees_coordinates
 from eggbox.groups import builtin_group
 from eggbox.wreath import (
@@ -77,6 +77,22 @@ def test_schutz_rep_is_faithful_on_group():
     rep = schutz_rep(m, rc)
     imgs = {rep(x) for x in m.elements}
     assert len(imgs) == len(m.elements)  # faithful here
+
+
+def test_schutz_map_with_one_bad_image_is_rejected():
+    # T4 has 256 elements; the hom check follows every generator edge, so one
+    # wrong image off the generators is found at this size as at any other
+    m = generate_monoid([transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))],
+                        compose_transformations, name="T4")
+    assert len(m.elements) > 200
+    ideal = minimal_ideal(m)
+    rep = schutz_rep(m, rees_coordinates(m, ideal, ideal.idempotents[0]))
+    bad = dict(rep.map)
+    x = m.elements[-1]
+    assert x not in m.generators and x != m.identity
+    bad[x] = next(img for img in rep.target.elements if img != rep.map[x])
+    with pytest.raises(NotWellDefined):
+        MonoidHom(m, rep.target, bad)
 
 
 def test_rlm_action_and_fast_path_agree():
