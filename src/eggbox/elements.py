@@ -22,6 +22,12 @@ deterministic tie-breaking compares.  Iteration
 order of results throughout the library is derived from these keys and from
 breadth-first discovery order, never from Python set iteration, so output is
 stable across processes and hash seeds.
+
+A row-monomial product rule from :func:`make_rowmono_mul` multiplies each
+distinct pair of entries once and hands out equal entries as one shared
+object, so a product of n-row matrices costs n dictionary lookups rather
+than n entry products.  Keys, and so equality, order and hashing, are the
+same as for matrices built by :func:`row_monomial`.
 """
 
 from __future__ import annotations
@@ -43,9 +49,6 @@ class Element:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Element) and self.key == other.key)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -121,19 +124,50 @@ def make_rowmono_mul(entry_mul):
 
     Row i of X*Y: if row i of X is (c, v) and row c of Y is (d, w) then row i
     of the product is (d, v*w).
+
+    Each rule multiplies each distinct entry pair (v, w) once.  The first
+    ``entry_mul(v, w)`` is checked to be an :class:`Element`, interned in the
+    rule's own canonical dict and remembered; every later product with that
+    pair reads it back.  Operand entries are interned too, so equal entries
+    are one shared object and a memo lookup matches them by identity
+    instead of calling ``Element.__eq__``.  The memo and the canonical dict
+    belong to the returned rule and are freed with it.
+
+    The product is built without :func:`row_monomial`, whose checks hold
+    already: each column is a column of the validated operand Y, of the
+    same size, and each entry passed the Element check when it entered the
+    memo, which is the only way an entry gets there.  A wrong entry product
+    is remembered as it is, so a product rule that is wrong on one pair
+    gives the same matrices as without the memo.
     """
+    memo = {}
+    canon = {}
 
     def mul(x: Element, y: Element) -> Element:
         if x.kind != "rowmono" or y.kind != "rowmono":
             raise InconsistentProduct("row-monomial product on non-matrix elements")
         rx, ry = x.data, y.data
-        if len(rx) != len(ry):
+        n = len(rx)
+        if n != len(ry):
             raise InconsistentProduct("matrix sizes differ")
-        out = []
+        rows = []
+        keys = []
         for c, v in rx:
             d, w = ry[c]
-            out.append((d, entry_mul(v, w)))
-        return row_monomial(out)
+            e = memo.get((v, w))
+            if e is None:
+                v = canon.setdefault(v, v)
+                w = canon.setdefault(w, w)
+                e = entry_mul(v, w)
+                if not isinstance(e, Element):
+                    raise NotRowMonomial(f"entry {e!r} is not an Element")
+                e = memo[v, w] = canon.setdefault(e, e)
+            rows.append((d, e))
+            keys.append((d, e.key))
+        # no row_monomial() checks needed: each column d comes from the
+        # validated operand y of size n, and each entry was checked to be an
+        # Element when it entered the memo
+        return Element("rowmono", tuple(rows), ("m", n, tuple(keys)))
 
     return mul
 
@@ -165,11 +199,7 @@ def same_shape(a: Element, b: Element) -> bool:
     """True when b is structurally compatible with a (same kind and size)."""
     if a.kind != b.kind:
         return False
-    if a.kind == "transf":
-        return len(a.data) == len(b.data)
-    if a.kind == "rowmono":
-        return len(a.data) == len(b.data)
-    if a.kind == "tuple":
+    if a.kind in ("transf", "rowmono", "tuple"):
         return len(a.data) == len(b.data)
     if a.kind == "table":
         return a.data[0] == b.data[0]

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from eggbox import constructions
+from eggbox.constructions import build_idempotent_cover, verify_cover
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
@@ -11,6 +15,7 @@ from eggbox.elements import (
     tuple_element,
 )
 from eggbox.errors import InconsistentProduct, NotRowMonomial
+from eggbox.groups import builtin_group
 
 
 def test_transformation_composition_order():
@@ -75,3 +80,101 @@ def test_tuple_element_pairs():
     a = tuple_element((table_element("t", 0), table_element("t", 1)))
     b = tuple_element((table_element("t", 0), table_element("t", 1)))
     assert a == b and hash(a) == hash(b)
+
+
+def reference_product(entry_mul, x, y):
+    """Row i of x*y, computed row by row through row_monomial()."""
+    rows = []
+    for c, v in x.data:
+        d, w = y.data[c]
+        rows.append((d, entry_mul(v, w)))
+    return row_monomial(rows)
+
+
+def random_matrix(rnd, n, entry):
+    return row_monomial([(rnd.randrange(n), entry()) for _ in range(n)])
+
+
+def assert_same_matrix(got, want):
+    assert got.key == want.key and got.data == want.data
+
+
+def test_memoised_rule_matches_reference_over_s3():
+    s3 = builtin_group("S3")
+    mul = make_rowmono_mul(s3.mul)
+    rnd = random.Random(5)
+    for _ in range(200):
+        x = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
+        y = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
+        assert_same_matrix(mul(x, y), reference_product(s3.mul, x, y))
+
+
+def test_memoised_rule_matches_reference_over_c4_blocks():
+    c4 = builtin_group("C4")
+    inner_mul = make_rowmono_mul(c4.mul)
+    block_mul = make_rowmono_mul(inner_mul)
+    rnd = random.Random(7)
+
+    def inner():
+        return random_matrix(rnd, 2, lambda: rnd.choice(c4.elements))
+
+    def ref_inner(v, w):
+        return reference_product(c4.mul, v, w)
+
+    for _ in range(200):
+        x = random_matrix(rnd, 4, inner)
+        y = random_matrix(rnd, 4, inner)
+        assert_same_matrix(block_mul(x, y), reference_product(ref_inner, x, y))
+
+
+def test_cover_multiplies_each_entry_pair_once(monkeypatch):
+    calls = []
+
+    def counting_rule(entry_mul):
+        def counted(v, w):
+            calls.append((v, w))
+            return entry_mul(v, w)
+        return make_rowmono_mul(counted)
+
+    monkeypatch.setattr(constructions, "make_rowmono_mul", counting_rule)
+    c3 = builtin_group("C3")
+    c = build_idempotent_cover(c3, 6, mode="full")
+    report = verify_cover(c)
+    assert all(ch.status == "pass" for ch in report.checks)
+    assert len(c.monoid.elements) == 6 + 6 * 6 * 3
+    assert 0 < len(calls) <= len(c3.elements) ** 2
+
+
+def test_cover_entries_are_shared_objects():
+    c3 = builtin_group("C3")
+    c = build_idempotent_cover(c3, 6, mode="full")
+    entries = {id(e) for m in c.monoid.elements for _, e in m.data}
+    assert len(entries) <= len(c3.elements)
+
+
+def test_rowmono_rule_rejects_a_non_element_entry():
+    one = table_element("one", 0)
+    mul = make_rowmono_mul(lambda v, w: "not an element")
+    x = identity_row_monomial(2, one)
+    for _ in range(2):  # a rejected entry never enters the memo
+        with pytest.raises(NotRowMonomial):
+            mul(x, x)
+
+
+def test_rowmono_rule_keeps_a_wrong_entry_product():
+    s3 = builtin_group("S3")
+    a, b = s3.elements[1], s3.elements[2]
+
+    def wrong_once(v, w):
+        return s3.identity if (v, w) == (a, b) else s3.mul(v, w)
+
+    mul = make_rowmono_mul(wrong_once)
+    rnd = random.Random(11)
+    differ = 0
+    for _ in range(200):
+        x = random_matrix(rnd, 5, lambda: rnd.choice(s3.elements))
+        y = random_matrix(rnd, 5, lambda: rnd.choice(s3.elements))
+        got = mul(x, y)
+        assert_same_matrix(got, reference_product(wrong_once, x, y))
+        differ += got != reference_product(s3.mul, x, y)
+    assert differ > 0
