@@ -31,8 +31,8 @@ hit = sorted(set(sol.theta_map.values()), key=str)
 print(f"  {len(sol.group_elements)} block matrices  ->  {hit}")
 
 print("\nrho sends the lifted generators back onto the base:")
-for i, t in enumerate(sol.tilde_x):
-    print(f"  rho(x~{i + 1}) = {sol.rho_map[t.element]}")
+for i, t in enumerate(sol.raw):
+    print(f"  rho(x~{i + 1}) = {sol.rho_map[t]}")
 
 report = verify_embedding(sol)
 print(f"\nverification: {report.counts()[0]} checks pass")
@@ -40,7 +40,7 @@ print(f"\nverification: {report.counts()[0]} checks pass")
 # corrupt one block entry and watch the checks fail
 c4 = prob.alpha.source
 g = c4.generators[0]
-raw = [t.element for t in sol.tilde_x]
+raw = list(sol.raw)
 rows = list(raw[1].data)
 col, blk = rows[0]
 bcol, bval = blk.data[0]

@@ -220,8 +220,9 @@ def criterion_4(
 
 
 def corrupt_block_entry(sol: EmbeddingSolution, prob: EmbeddingProblem):
-    """Copy of tilde_x with one inner entry of tilde_x2 pushed off its coset."""
-    raw = [getattr(t, "element", t) for t in sol.tilde_x]
+    """Copy of the block generators with one inner entry of the second
+    pushed off its coset."""
+    raw = list(sol.raw)
     h = prob.alpha.source
     shift = h.generators[0]  # outside ker(alpha) for the E2 data
     x2 = raw[1]
@@ -287,15 +288,9 @@ def criterion_7(wreaths=None, covers=None, sols=None) -> ConstructionReport:
     for (gname, b), w in sorted(wreaths.items()):
         simples.append((f"wreath-{gname}-b{b}", w.simple))
     for name in COVER_GROUPS:
-        c = covers[name]
-        simples.append(
-            (f"cover-{name}", SubSemigroup(c.monoid, c.ideal.elements, check=False))
-        )
+        simples.append((f"cover-{name}", covers[name].ideal.semigroup))
     for key in sorted(sols):
-        sol = sols[key]
-        simples.append(
-            (f"ideal-{key}", SubSemigroup(sol.mprime, sol.ideal.elements, check=False))
-        )
+        simples.append((f"ideal-{key}", sols[key].ideal.semigroup))
     for label, sub in simples:
         span = idempotent_generated(sub)
         ok = is_simple(span)

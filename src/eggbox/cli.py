@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .acceptance import run_acceptance, selftest_report, selftest_text
 from .constructions import (
@@ -32,7 +31,7 @@ from .errors import (
     UnknownObject,
 )
 from .green import green_structure, maximal_subgroup, minimal_ideal
-from .groups import builtin_group, identify
+from .groups import identify
 from .report import Check, ConstructionReport
 from .srank import r_s
 from .wreath import is_faithful_on_min_ideal
@@ -40,22 +39,14 @@ from .wreath import is_faithful_on_min_ideal
 __all__ = ["main"]
 
 
-def _load(args) -> Optional[Definitions]:
-    return load_definitions(args.defs) if getattr(args, "defs", None) else None
+def _load(args) -> Definitions:
+    """The definition file named by --defs; with none, an empty set of
+    definitions, which resolves every name to a builtin group."""
+    return load_definitions(args.defs) if args.defs else Definitions()
 
 
-def _resolve_container(defs: Optional[Definitions], name: str):
-    """A declared group or monoid by name, else a builtin group name."""
-    if defs is not None:
-        if name in defs.groups:
-            return defs.groups[name]
-        if name in defs.monoids:
-            return defs.monoids[name]
-    return builtin_group(name)
-
-
-def _resolve_group(defs: Optional[Definitions], name: str) -> FiniteGroup:
-    obj = _resolve_container(defs, name)
+def _resolve_group(defs: Definitions, name: str) -> FiniteGroup:
+    obj = defs.resolve_container(name)
     if not isinstance(obj, FiniteGroup):
         raise UnknownObject(f"{name!r} is not a group")
     return obj
@@ -69,7 +60,7 @@ def _emit(report: ConstructionReport) -> int:
 
 def cmd_analyze(args) -> int:
     defs = _load(args)
-    m = underlying(_resolve_container(defs, args.name))
+    m = underlying(defs.resolve_container(args.name))
     gs = green_structure(m)
     ideal = minimal_ideal(m)
     e = ideal.idempotents[0]
@@ -112,13 +103,13 @@ def cmd_cover(args) -> int:
 def cmd_embed(args) -> int:
     defs = _load(args)
     if len(args.names) == 1:
-        if defs is None or args.names[0] not in defs.problems:
+        if args.names[0] not in defs.problems:
             raise UnknownObject(f"no problem named {args.names[0]!r}")
         decl = defs.problems[args.names[0]]
         base, alpha = decl["base"], decl["alpha"]
     else:
-        base = underlying(_resolve_container(defs, args.names[0]))
-        if defs is None or args.names[1] not in defs.homs:
+        base = underlying(defs.resolve_container(args.names[0]))
+        if args.names[1] not in defs.homs:
             raise UnknownObject(f"no hom named {args.names[1]!r}")
         alpha = defs.homs[args.names[1]]
     prob = EmbeddingProblem(alpha, prepare_base(underlying(base)))

@@ -25,6 +25,7 @@ from .core import (
     FiniteGroup,
     MonoidHom,
     canonical_section,
+    closure,
     generate_monoid,
     is_isomorphic,
     omega_power,
@@ -57,7 +58,6 @@ from .green import (
 from .report import FAIL, PASS, SKIPPED, Check, ConstructionReport
 from .srank import _is_prime
 from .wreath import (
-    BlockRowMonomialMatrix,
     is_faithful_on_min_ideal,
     schutz_faithful_quotient,
     schutz_rep,
@@ -236,22 +236,6 @@ def _check_witness_products(c: CoverResult):
     return Check("witness-products", PASS, f"{len(vals)} factorizations"), vals
 
 
-def _closure_in_group(h, seed_vals) -> set:
-    hmul = underlying(h).mul
-    closed = set(seed_vals)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                for v in (hmul(a, b), hmul(b, a)):
-                    if v not in closed:
-                        closed.add(v)
-                        fresh.append(v)
-        frontier = fresh
-    return closed
-
-
 def _check_idempotent_closure(c: CoverResult) -> Check:
     """<E(J)> = J through the three-idempotent factorization.
 
@@ -352,9 +336,10 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
     report.add(Check("y-idempotent", PASS if mul(c.y, c.y) == c.y else FAIL))
     wcheck, vals = _check_witness_products(c)
     report.add(wcheck)
-    generated = _closure_in_group(c.group, vals + [hm.identity])
+    # in a finite group the right closure of 1 is the subgroup generated
+    generated = closure([hm.identity], vals, hm.mul)[1]
     report.add(Check("witness-images-generate",
-                     PASS if generated == set(hm.elements) else FAIL,
+                     PASS if set(generated) == set(hm.elements) else FAIL,
                      f"{len(generated)} of {len(hm.elements)} elements"))
 
     if mode == "cheap" or c.monoid is None:
@@ -507,10 +492,24 @@ class EmbeddingProblem:
                 f"over {self.base.monoid.name})")
 
 
+def _alphabar(ahat: MonoidHom, mat: Element) -> Element:
+    """Entrywise alpha_hat on a matrix over H."""
+    return row_monomial((c, ahat.map[v]) for c, v in mat.data)
+
+
+def _kernel_diagonals(prob: EmbeddingProblem):
+    """ker alpha_hat in H's element order, and the diagonal b×b matrices
+    over it in lexicographic order."""
+    k_ident = prob.base.group.identity
+    n_elements = tuple(x for x in underlying(prob.h).elements if prob.alpha_hat.map[x] == k_ident)
+    nbt = tuple(row_monomial(enumerate(t)) for t in iter_product(n_elements, repeat=prob.base.b))
+    return n_elements, nbt
+
+
 class EmbeddingSolution:
     """Solved extension data.
 
-    ``tilde_x`` wraps the block generators; ``mprime`` is their closure in
+    ``raw`` holds the block generators; ``mprime`` is their closure in
     full mode and None when the cap was hit (``capnote`` says so).  ``rho``
     and ``theta`` are validated homomorphisms in strict full mode; the maps
     themselves are always available as dictionaries, and ``rho_of`` works
@@ -518,7 +517,7 @@ class EmbeddingSolution:
     """
 
     __slots__ = ("problem", "p", "nu", "ell", "m", "r", "n_elements", "nbt",
-                 "sigma", "tilde_x", "raw", "mprime", "ideal", "rho", "rho_map",
+                 "sigma", "raw", "mprime", "ideal", "rho", "rho_map",
                  "e_prime", "cycler", "group", "group_elements", "theta",
                  "theta_map", "mode", "capnote", "block_mul", "inner_mul",
                  "schutz_inverse")
@@ -537,14 +536,9 @@ class EmbeddingSolution:
         return (f"p={self.p} nu={self.nu} ell={self.ell} m={self.m} r={self.r} "
                 f"mode={self.mode} size={size}")
 
-    def alphabar(self, mat: Element) -> Element:
-        """Entrywise alpha_hat on a matrix over H."""
-        amap = self.problem.alpha_hat.map
-        return row_monomial((c, amap[v]) for c, v in mat.data)
-
     def rho_of(self, v: Element) -> Optional[Element]:
         """Base element under the first block, if its projection is one."""
-        return self.schutz_inverse.get(self.alphabar(v.data[0][1]))
+        return self.schutz_inverse.get(_alphabar(self.problem.alpha_hat, v.data[0][1]))
 
     def eta(self, word) -> Element:
         """Product of the block generators along a base word."""
@@ -574,8 +568,7 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
     base = prob.base
     h = underlying(prob.h)
     ahat = prob.alpha_hat
-    k_ident = base.group.identity
-    n_elements = tuple(x for x in h.elements if ahat.map[x] == k_ident)
+    n_elements, nbt = _kernel_diagonals(prob)
     sigma = canonical_section(ahat)
     inner_mul = make_rowmono_mul(h.mul)
     b = base.b
@@ -602,9 +595,6 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
     else:
         p = _next_prime(bound + 1)
 
-    nbt = tuple(
-        row_monomial(enumerate(t)) for t in iter_product(n_elements, repeat=b)
-    )
     tilde = [row_monomial(((i + 1) % p, lifts[0]) for i in range(p))]
     for gi in range(1, len(lifts)):
         tilde.append(row_monomial(
@@ -628,7 +618,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     base = prob.base
     h = underlying(prob.h)
     ahat = prob.alpha_hat
-    raw = tuple(getattr(t, "element", t) for t in tilde_x)
+    raw = tuple(tilde_x)
     if len(raw) != len(base.matrices):
         raise NotWellDefined(
             f"{len(raw)} block generators for {len(base.matrices)} base generators")
@@ -638,14 +628,10 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     inner_ident = identity_row_monomial(b, h.identity)
     block_ident = row_monomial((i, inner_ident) for i in range(p))
 
-    k_ident = base.group.identity
-    n_elements = tuple(x for x in h.elements if ahat.map[x] == k_ident)
+    n_elements, nbt = _kernel_diagonals(prob)
     nu = len(n_elements)
     ell = nu ** b
     sigma = canonical_section(ahat)
-    nbt = tuple(
-        row_monomial(enumerate(t)) for t in iter_product(n_elements, repeat=b)
-    )
 
     guard = len(h.elements) ** b * b + 2
     m_power, _ = _least_idempotent_power(raw[0].data[0][1], inner_mul, guard)
@@ -669,12 +655,6 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
             raise InternalInconsistency("base representation is not faithful")
         schutz_inverse[mat] = u
 
-    def alphabar(mat: Element) -> Element:
-        return row_monomial((c, ahat.map[v]) for c, v in mat.data)
-
-    def rho_of(v: Element) -> Optional[Element]:
-        return schutz_inverse.get(alphabar(v.data[0][1]))
-
     mode = "full"
     capnote = ""
     mprime = None
@@ -695,8 +675,8 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     if mprime is not None:
         ideal_p = minimal_ideal(mprime)
         for v in mprime.elements:
-            first = alphabar(v.data[0][1])
-            rest_agree = all(alphabar(blk) == first for _, blk in v.data[1:])
+            first = _alphabar(ahat, v.data[0][1])
+            rest_agree = all(_alphabar(ahat, blk) == first for _, blk in v.data[1:])
             target = schutz_inverse.get(first)
             if strict and (target is None or not rest_agree):
                 raise InternalInconsistency(f"rho is undefined at {short_str(v)}")
@@ -742,10 +722,9 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
         if theta_map[e_prime] != h.identity:
             raise InternalInconsistency("theta does not send e' to the identity")
 
-    wrapped = tuple(BlockRowMonomialMatrix(h, b, el) for el in raw)
     return EmbeddingSolution(
         problem=prob, p=p, nu=nu, ell=ell, m=m_power, r=r,
-        n_elements=n_elements, nbt=nbt, sigma=sigma, tilde_x=wrapped, raw=raw,
+        n_elements=n_elements, nbt=nbt, sigma=sigma, raw=raw,
         mprime=mprime, ideal=ideal_p, rho=rho, rho_map=rho_map,
         e_prime=e_prime, cycler=cycler, group=group,
         group_elements=group_elements, theta=theta, theta_map=theta_map,
@@ -776,7 +755,7 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
     base = sol.problem.base
     for gi, t in enumerate(sol.raw):
         for row, (_, blk) in enumerate(t.data):
-            if sol.alphabar(blk) != base.matrices[gi]:
+            if _alphabar(sol.problem.alpha_hat, blk) != base.matrices[gi]:
                 return Check("block-projection", FAIL,
                              f"tilde_x[{gi}] block row {row} does not lie over M_g{gi}")
     return Check("block-projection", PASS,

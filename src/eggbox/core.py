@@ -2,10 +2,14 @@
 
 A :class:`FiniteMonoid` is a fully enumerated monoid: a tuple of elements
 with the identity first, a product function, a distinguished generator list,
-and for every element a witness word over the generators.  Monoids are built
-either by :func:`generate_monoid` (breadth-first closure of a seed list) or
-by :func:`monoid_from_elements` (direct enumeration of a known closed set);
-both validate what they return.
+and for every element a witness word over the generators.
+
+Every generated set in the library comes from one breadth-first walk,
+:func:`closure`: monoids (:func:`generate_monoid`, and
+:func:`monoid_from_elements` for a known closed set, which generates it
+from all of its elements), subgroups and normal closures, and the
+idempotent-generated subsemigroups.  Both monoid builders validate what
+they return.
 
 Element order is deterministic: breadth-first level, then canonical key
 within a level.  Nothing downstream iterates over raw sets, so all derived
@@ -15,6 +19,7 @@ data (Green's classes, coordinates, reports) is reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .elements import (
@@ -118,13 +123,11 @@ def _check_associativity(mul, elements, seed=0):
         for i in rng:
             ti = table[i]
             for j in rng:
+                # (i·j)·k against i·(j·k) for every k at once
                 row_l = table[ti[j]]
-                tj = table[j]
-                for k in rng:
-                    if row_l[k] != ti[tj[k]]:
-                        raise InconsistentProduct(
-                            f"associativity fails on indices ({i}, {j}, {k})"
-                        )
+                if row_l != [ti[x] for x in table[j]]:
+                    k = next(k for k in rng if row_l[k] != ti[table[j][k]])
+                    raise InconsistentProduct(f"associativity fails on indices ({i}, {j}, {k})")
         return
     rnd = random.Random(seed)
     for _ in range(SAMPLE_COUNT):
@@ -133,6 +136,45 @@ def _check_associativity(mul, elements, seed=0):
         c = elements[rnd.randrange(n)]
         if mul(mul(a, b), c) != mul(a, mul(b, c)):
             raise InconsistentProduct(f"associativity fails on ({a!r}, {b!r}, {c!r})")
+
+
+def closure(start, gens, step, cap: int = DEFAULT_CAP):
+    """Breadth-first closure of ``start`` under x -> step(x, g), g in ``gens``.
+
+    Returns ``(levels, words)``.  ``levels[0]`` holds the distinct start
+    elements and ``levels[k]`` those first reached in k steps, each level
+    sorted by canonical key, so the levels do not depend on the order of
+    ``gens``.  ``words[x]`` is the tuple of generator indices along which x
+    was first reached, () for a start element; it doubles as the membership
+    test.  Raises :class:`CapExceeded` once a level takes the count past
+    ``cap``.
+    """
+    key = attrgetter("key")
+    words = {}
+    level = []
+    for x in start:
+        if x not in words:
+            words[x] = ()
+            level.append(x)
+    indexed = list(enumerate(gens))
+    count = 0
+    levels = []
+    while level:
+        count += len(level)
+        if count > cap:
+            raise CapExceeded(cap, count)
+        level.sort(key=key)
+        levels.append(level)
+        fresh = []
+        for x in level:
+            wx = words[x]
+            for gi, g in indexed:
+                y = step(x, g)
+                if y not in words:
+                    words[y] = wx + (gi,)
+                    fresh.append(y)
+        level = fresh
+    return levels, words
 
 
 def generate_monoid(
@@ -152,7 +194,8 @@ def generate_monoid(
     The identity is inferred for transformation seeds and must be supplied
     for the other element kinds.  Raises :class:`CapExceeded` when the
     closure grows past ``cap`` and :class:`InconsistentProduct` when the
-    product rule yields a value of the wrong shape.
+    product rule yields a value of the wrong shape or the identity fails
+    to fix a seed.
     """
     seeds = list(seeds)
     if identity is None:
@@ -164,41 +207,19 @@ def generate_monoid(
         if not same_shape(identity, s):
             raise InconsistentProduct(f"seed {s!r} has the wrong shape")
 
-    elements = [identity]
-    words = {identity: ()}
-    index = {identity: 0}
+    def step(x, g):
+        y = product_rule(x, g)
+        if not isinstance(y, Element) or not same_shape(identity, y):
+            raise InconsistentProduct(f"product of {x!r} and {g!r} is {y!r}")
+        return y
 
-    level = []
-    for gi, s in enumerate(seeds):
-        if s not in index:
-            index[s] = -1  # placeholder, fixed after sorting
-            words[s] = (gi,)
-            level.append(s)
-    level.sort()
-    for s in level:
-        index[s] = len(elements)
-        elements.append(s)
-
-    while level:
-        fresh = []
-        for x in level:
-            wx = words[x]
-            for gi, g in enumerate(seeds):
-                y = product_rule(x, g)
-                if not isinstance(y, Element) or not same_shape(identity, y):
-                    raise InconsistentProduct(f"product of {x!r} and {g!r} is {y!r}")
-                if y not in index:
-                    index[y] = -1
-                    words[y] = wx + (gi,)
-                    fresh.append(y)
-        if len(elements) + len(fresh) > cap:
-            raise CapExceeded(cap, len(elements) + len(fresh))
-        fresh.sort()
-        for y in fresh:
-            index[y] = len(elements)
-            elements.append(y)
-        level = fresh
-
+    levels, words = closure([identity], seeds, step, cap)
+    # with every seed reached, the identity check below makes each seed its
+    # own product with the identity, so its word is (gi,) for its first gi
+    for s in seeds:
+        if s not in words:
+            raise InconsistentProduct(f"the identity does not fix the seed {s!r}")
+    elements = [x for level in levels for x in level]
     _check_identity(product_rule, identity, elements)
     _check_associativity(product_rule, elements)
     return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words)
@@ -209,29 +230,23 @@ def monoid_from_elements(
     product_rule: Callable[[Element, Element], Element],
     identity: Element,
     name: Optional[str] = None,
-    check_closure: bool = True,
 ) -> FiniteMonoid:
     """Monoid over an explicitly enumerated element set.
 
-    The set must contain the identity and be closed under the product; every
-    non-identity element doubles as a generator with a length-1 witness word.
+    The set must contain the identity and be closed under the product; it
+    is generated from its sorted non-identity elements, so each of them is
+    a generator with a length-1 witness word.  The closure contains the
+    listed set, so it stays within the set's size exactly when the set is
+    closed; :class:`NotClosed` otherwise.
     """
-    rest = sorted(set(elements) - {identity})
-    if identity not in set(elements):
+    listed = set(elements)
+    if identity not in listed:
         raise InconsistentProduct("identity not among the listed elements")
-    ordered = [identity] + rest
-    if check_closure:
-        member = set(ordered)
-        for a in ordered:
-            for b in ordered:
-                if product_rule(a, b) not in member:
-                    raise NotClosed(f"product of {a!r} and {b!r} escapes the set")
-    words = {identity: ()}
-    for i, x in enumerate(rest):
-        words[x] = (i,)
-    _check_identity(product_rule, identity, ordered)
-    _check_associativity(product_rule, ordered)
-    return FiniteMonoid(name or "monoid", ordered, product_rule, identity, rest, words)
+    rest = sorted(listed - {identity})
+    try:
+        return generate_monoid(rest, product_rule, cap=len(listed), identity=identity, name=name)
+    except CapExceeded:
+        raise NotClosed(f"products of the {len(listed)} listed elements escape the set") from None
 
 
 def omega_power(m: FiniteMonoid, x: Element) -> Element:
@@ -475,17 +490,7 @@ def small_generating_set(g: FiniteGroup):
     for x in g.elements:
         if x not in closed:
             gens.append(x)
-            frontier = [g.identity]
-            closed = {g.identity}
-            while frontier:
-                fresh = []
-                for u in frontier:
-                    for h in gens:
-                        v = g.mul(u, h)
-                        if v not in closed:
-                            closed.add(v)
-                            fresh.append(v)
-                frontier = fresh
+            closed = closure([g.identity], gens, g.mul)[1]
     return gens
 
 
@@ -576,21 +581,19 @@ def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
 
 
 class SubSemigroup:
-    """A product-closed subset of an ambient monoid."""
+    """A product-closed subset of an ambient monoid, with the generators it
+    was closed from (all of its elements when none are given).  Closure is
+    the caller's to vouch for: every caller hands in an ideal or a closure
+    result."""
 
-    __slots__ = ("monoid", "elements", "member")
+    __slots__ = ("monoid", "elements", "member", "generators")
 
-    def __init__(self, monoid: FiniteMonoid, elements, check: bool = True):
+    def __init__(self, monoid: FiniteMonoid, elements, generators=None):
         self.monoid = monoid
         order = monoid.index
         self.elements = tuple(sorted(set(elements), key=lambda x: order[x]))
         self.member = frozenset(self.elements)
-        if check:
-            mul = monoid.mul
-            for a in self.elements:
-                for b in self.elements:
-                    if mul(a, b) not in self.member:
-                        raise NotClosed(f"product of {a!r} and {b!r} escapes the subset")
+        self.generators = self.elements if generators is None else tuple(generators)
 
     def __len__(self):
         return len(self.elements)

@@ -24,6 +24,7 @@ from .core import (
     FiniteMonoid,
     MonoidHom,
     SubSemigroup,
+    closure,
     generate_monoid,
     omega_power,
     underlying,
@@ -32,6 +33,7 @@ from .elements import Element
 from .errors import (
     InternalInconsistency,
     NoIdempotents,
+    NotClosed,
     NotIdempotent,
     NotInMinimalIdeal,
     NotSurjective,
@@ -195,8 +197,7 @@ class MinimalIdeal:
         self.elements = tuple(elements)
         self.member = frozenset(self.elements)
         self.idempotents = tuple(idempotents)
-        # ideals are closed under the product, no quadratic re-check needed
-        self.semigroup = SubSemigroup(monoid, self.elements, check=False)
+        self.semigroup = SubSemigroup(monoid, self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -416,27 +417,23 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
 def is_simple(s: SubSemigroup) -> bool:
     """True iff SxS = S for every x in S.
 
-    SxS = S(xS) depends only on the right ideal xS, so the span is built
-    once per distinct right ideal with an early exit once it fills up.
+    On the right Cayley graph of S over its generators, with an edge
+    x -> x·a per generator a, the vertices reachable from x form the right
+    ideal xS¹.  S is simple iff each xS¹ is a minimal right ideal, i.e. iff
+    no edge leaves a strongly connected component: then for any x, y the
+    element xy lies in xS¹ = xyS¹, so x = xys lies in S¹yS¹ and S is one
+    J-class; conversely a finite simple S is stable, so y in xS¹ with y J x
+    gives y R x (Howie, Fundamentals of Semigroup Theory, 1995, ch. 3).
+    Costs |S|·|A| products for |A| generators.
     """
-    els = s.elements
+    pos = {x: i for i, x in enumerate(s.elements)}
     mul = s.monoid.mul
-    n = len(els)
-    full = s.member
-    right = {x: frozenset(mul(x, u) for u in els) for x in els}
-    reps = {}
-    for x in els:
-        reps.setdefault(right[x], x)
-    for x in reps.values():
-        sx = {mul(u, x) for u in els}
-        sxs: set = set()
-        for u in sx:
-            sxs |= right[u]
-            if len(sxs) == n:
-                break
-        if sxs != full:
-            return False
-    return True
+    try:
+        succ = [[pos[mul(x, a)] for a in s.generators] for x in s.elements]
+    except KeyError:
+        raise NotClosed("a product with a generator escapes the subsemigroup") from None
+    comp = _components(succ)
+    return all(comp[w] == comp[v] for v, ws in enumerate(succ) for w in ws)
 
 
 def naive_is_simple(s: SubSemigroup) -> bool:
@@ -451,24 +448,14 @@ def naive_is_simple(s: SubSemigroup) -> bool:
 
 
 def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
-    """The subsemigroup generated by the idempotents of S."""
+    """The subsemigroup generated by the idempotents of S, which it records
+    as its generators."""
     idem = s.idempotents()
     if not idem:
         raise NoIdempotents("no idempotents to generate from")
-    mul = s.monoid.mul
-    closed = set(idem)
-    frontier = list(idem)
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for f in idem:
-                v = mul(u, f)
-                if v not in closed:
-                    closed.add(v)
-                    fresh.append(v)
-        frontier = fresh
     # products of idempotent words are closed under concatenation
-    return SubSemigroup(s.monoid, closed, check=False)
+    levels, _ = closure(idem, idem, s.monoid.mul)
+    return SubSemigroup(s.monoid, [x for level in levels for x in level], generators=idem)
 
 
 def check_min_ideal_image(phi: MonoidHom, source_ideal: Optional[MinimalIdeal] = None) -> ConstructionReport:

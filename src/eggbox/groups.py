@@ -136,8 +136,7 @@ def group_from_table(name: str, table) -> FiniteGroup:
         raise InconsistentProduct("table has no identity element")
     elems = [table_element(name, i) for i in range(k)]
     mul = make_table_mul([tuple(r) for r in table], name)
-    # closure is structural: table values are indices into the element list
-    m = monoid_from_elements(elems, mul, elems[ident], name=name, check_closure=False)
+    m = monoid_from_elements(elems, mul, elems[ident], name=name)
     return FiniteGroup.from_monoid(m)
 
 

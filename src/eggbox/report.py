@@ -8,7 +8,7 @@ identical runs produce byte-identical trailers.
 
 from __future__ import annotations
 
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 PASS = "pass"
 FAIL = "fail"
@@ -93,29 +93,3 @@ class ConstructionReport:
             lines.append(f"check.{c.name}={value}")
         lines.append(f"result={'pass' if self.passed else 'fail'}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_trailer(text: str) -> "ConstructionReport":
-        """Inverse of trailer(); used for round-trip testing and scripting."""
-        lines = [ln for ln in text.strip().splitlines() if ln and ln != "---"]
-        construction = None
-        params = []
-        checks = []
-        result = None
-        for ln in lines:
-            key, _, value = ln.partition("=")
-            if key == "construction":
-                construction = value
-            elif key == "result":
-                result = value
-            elif key.startswith("check."):
-                status, _, rest = value.partition(";witness=")
-                checks.append(Check(key[len("check.") :], status, unquote(rest)))
-            else:
-                params.append((key, value))
-        report = ConstructionReport(construction or "?", params)
-        for c in checks:
-            report.add(c)
-        if result is not None and result != ("pass" if report.passed else "fail"):
-            raise ValueError("trailer result line disagrees with its checks")
-        return report

@@ -15,6 +15,7 @@ from typing import Optional
 from .core import (
     FiniteGroup,
     MonoidHom,
+    closure,
     direct_power,
     is_isomorphic,
     monoid_from_elements,
@@ -34,39 +35,17 @@ NORMAL_LIMIT = 200
 
 
 def _subgroup_closure(g: FiniteGroup, seed) -> frozenset:
-    """Subgroup generated by ``seed``, as a frozenset."""
-    mul = g.mul
-    closed = {g.identity}
-    frontier = [g.identity]
-    gens = [x for x in seed if x != g.identity]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for s in gens:
-                v = mul(u, s)
-                if v not in closed:
-                    closed.add(v)
-                    fresh.append(v)
-        frontier = fresh
-    # closing under right multiplication by the seed suffices: the result
-    # is product-closed and finite, hence a subgroup
-    return frozenset(closed)
+    """Subgroup generated by ``seed``, as a frozenset: the closure of 1
+    under right multiplication by the seed is product-closed and finite,
+    hence a subgroup."""
+    return frozenset(closure([g.identity], [x for x in seed if x != g.identity], g.mul)[1])
 
 
 def _normal_closure(g: FiniteGroup, x: Element) -> frozenset:
     mul = g.mul
-    conj = {x}
-    frontier = [x]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for s in g.generators:
-                w = mul(mul(g.inverse(s), v), s)
-                if w not in conj:
-                    conj.add(w)
-                    fresh.append(w)
-        frontier = fresh
-    return _subgroup_closure(g, sorted(conj, key=g.index.__getitem__))
+    inv = g.inverse
+    conj = closure([x], g.generators, lambda v, s: mul(mul(inv(s), v), s))[1]
+    return _subgroup_closure(g, conj)
 
 
 def is_normal(g: FiniteGroup, sub) -> bool:
@@ -85,7 +64,8 @@ def normal_subgroups(g: FiniteGroup):
     """All normal subgroups, ordered by size then by element order.
 
     Every normal subgroup is the join of the normal closures of its
-    elements, so the join closure of the principal closures is complete.
+    elements, so the join closure of the principal closures is complete;
+    the join of normal N and P is the set product N·P.
     Bounded at 200 elements.
     """
     if len(g.elements) > NORMAL_LIMIT:
@@ -103,7 +83,9 @@ def normal_subgroups(g: FiniteGroup):
             for pc in principal:
                 if pc <= n:
                     continue
-                join = _subgroup_closure(g, sorted(n | pc, key=g.index.__getitem__))
+                # the right closure of N under P∖N is N·P: each n·p with
+                # p in P ∩ N already lies in N
+                join = frozenset(closure(n, pc - n, g.mul)[1])
                 if join not in found:
                     found.add(join)
                     fresh.append(join)
@@ -140,7 +122,7 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     ]
     tmul = make_table_mul(table, label)
     els = [table_element(label, i) for i in range(len(reps))]
-    qm = monoid_from_elements(els, tmul, els[0], name=label, check_closure=False)
+    qm = monoid_from_elements(els, tmul, els[0], name=label)
     q = FiniteGroup.from_monoid(qm)
     proj = MonoidHom(g, q, {x: els[coset_of[x]] for x in g.elements})
     if not proj.is_surjective():

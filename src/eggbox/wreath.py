@@ -4,13 +4,15 @@ A wreath product S ≀ ([n], T) is realized as the monoid of n×n matrices
 with exactly one non-zero entry per row, entries drawn from S; the pair
 (f, t) corresponds to the matrix whose row i holds f(i) in column t(i).
 Zero is implicit in the row-monomial storage, never an entry value.
+Matrices are plain row-monomial :class:`Element` values multiplied by a
+rule from :func:`make_rowmono_mul`; iterated wreath products are matrices
+whose entries are matrices, under a rule built over the inner rule.
 
-Iterated wreath products are matrices whose entries are themselves
-row-monomial matrices, with an explicit flatten used as a multiplicativity
-oracle.  The module also hosts the group-to-wreath dictionary: constant
-wreaths G ≀ (B, constants) with the projection psi of the local monoid at
-an idempotent onto G, the RLM action on the L-classes of a minimal ideal,
-and the Schützenberger representation built from Rees coordinates.
+The module hosts the group-to-wreath dictionary: constant wreaths
+G ≀ (B, constants), generated from a few matrices and checked against the
+listed set, with the projection psi of the local monoid at an idempotent
+onto G; the RLM action on the L-classes of a minimal ideal; and the
+Schützenberger representation built from Rees coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import (
     MonoidHom,
     SubSemigroup,
     generate_monoid,
-    monoid_from_elements,
 )
 from .elements import (
     Element,
@@ -40,118 +41,8 @@ from .errors import (
     InternalInconsistency,
     NotIdempotent,
     NotInLocalMonoid,
-    NotRowMonomial,
-    SizeMismatch,
 )
-from .green import ReesCoordinates, green_structure, is_simple, minimal_ideal
-
-
-class RowMonomialMatrix:
-    """A size-n matrix with one non-zero entry per row, over an entry monoid."""
-
-    __slots__ = ("entry_monoid", "element")
-
-    def __init__(self, entry_monoid: FiniteMonoid, rows):
-        self.entry_monoid = entry_monoid
-        elem = rows if isinstance(rows, Element) else row_monomial(rows)
-        if elem.kind != "rowmono":
-            raise NotRowMonomial(f"{elem!r} is not a row-monomial element")
-        for _, v in elem.data:
-            if v not in entry_monoid.index:
-                raise NotRowMonomial(f"entry {v!r} is outside the entry monoid")
-        self.element = elem
-
-    @property
-    def size(self) -> int:
-        return len(self.element.data)
-
-    @property
-    def rows(self):
-        return self.element.data
-
-    def row(self, i: int):
-        """(column, entry) of row i."""
-        return self.element.data[i]
-
-    def __eq__(self, other):
-        return isinstance(other, RowMonomialMatrix) and self.element == other.element
-
-    def __hash__(self):
-        return hash(self.element)
-
-    def __repr__(self):
-        return f"RowMonomialMatrix({self.element!r})"
-
-
-def rm_multiply(x: RowMonomialMatrix, y: RowMonomialMatrix) -> RowMonomialMatrix:
-    """Matrix product; row i is (c_Y(c_X(i)), v_X(i)·v_Y(c_X(i)))."""
-    if x.size != y.size:
-        raise SizeMismatch(f"sizes {x.size} and {y.size} differ")
-    if x.entry_monoid.elements != y.entry_monoid.elements:
-        raise SizeMismatch("entry monoids differ")
-    mul = make_rowmono_mul(x.entry_monoid.mul)
-    return RowMonomialMatrix(x.entry_monoid, mul(x.element, y.element))
-
-
-class BlockRowMonomialMatrix:
-    """A row-monomial matrix whose entries are row-monomial matrices.
-
-    Block entry means an inner matrix; entry always means an element of the
-    underlying entry monoid.  Flattening to size outer·inner commutes with
-    multiplication.
-    """
-
-    __slots__ = ("entry_monoid", "inner_size", "element")
-
-    def __init__(self, entry_monoid: FiniteMonoid, inner_size: int, rows):
-        self.entry_monoid = entry_monoid
-        self.inner_size = inner_size
-        elem = rows if isinstance(rows, Element) else row_monomial(rows)
-        if elem.kind != "rowmono":
-            raise NotRowMonomial(f"{elem!r} is not a row-monomial element")
-        for _, blk in elem.data:
-            if blk.kind != "rowmono" or len(blk.data) != inner_size:
-                raise NotRowMonomial(f"block {blk!r} has the wrong shape")
-            for _, v in blk.data:
-                if v not in entry_monoid.index:
-                    raise NotRowMonomial(f"entry {v!r} is outside the entry monoid")
-        self.element = elem
-
-    @property
-    def outer_size(self) -> int:
-        return len(self.element.data)
-
-    def block(self, i: int):
-        """(block column, inner matrix) of outer row i."""
-        c, blk = self.element.data[i]
-        return c, RowMonomialMatrix(self.entry_monoid, blk)
-
-    def block_entries(self):
-        """All inner matrices, one per outer row."""
-        return tuple(RowMonomialMatrix(self.entry_monoid, blk) for _, blk in self.element.data)
-
-    def flatten(self) -> RowMonomialMatrix:
-        """The (outer·inner)-sized matrix; global row J·b+i of a block row
-        (C, blk) maps to column C·b + c_blk(i) with entry v_blk(i)."""
-        b = self.inner_size
-        rows = []
-        for block_col, blk in self.element.data:
-            for c, v in blk.data:
-                rows.append((block_col * b + c, v))
-        return RowMonomialMatrix(self.entry_monoid, tuple(rows))
-
-    def __eq__(self, other):
-        return isinstance(other, BlockRowMonomialMatrix) and self.element == other.element
-
-    def __repr__(self):
-        return f"BlockRowMonomialMatrix({self.outer_size}x{self.inner_size} blocks)"
-
-
-def block_rm_multiply(x: BlockRowMonomialMatrix, y: BlockRowMonomialMatrix) -> BlockRowMonomialMatrix:
-    if x.outer_size != y.outer_size or x.inner_size != y.inner_size:
-        raise SizeMismatch("block shapes differ")
-    mul = make_rowmono_mul(make_rowmono_mul(x.entry_monoid.mul))
-    return BlockRowMonomialMatrix(x.entry_monoid, x.inner_size, mul(x.element, y.element))
+from .green import ReesCoordinates, green_structure, minimal_ideal
 
 
 def constant_transformation(n: int, target: int) -> Element:
@@ -174,27 +65,47 @@ class ConstantWreath:
         return f"ConstantWreath({self.group.name!r}, {self.points} points)"
 
 
-def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantWreath:
-    """Enumerate G ≀ (B, B̄) directly: all (f, constant) pairs."""
-    b = points if isinstance(points, int) else len(points)
-    total = (len(g) ** b) * b + 1
-    if total > cap:
-        raise CapExceeded(cap, total)
-    mul = make_rowmono_mul(g.mul)
-    simple_elems = [
+def _constant_column_matrices(g: FiniteGroup, b: int):
+    """The simple part of G ≀ (B, B̄), listed: every (f, constant) pair."""
+    return [
         row_monomial((k, fi) for fi in f)
         for f in iter_product(g.elements, repeat=b)
         for k in range(b)
     ]
-    ident = identity_row_monomial(b, g.identity)
-    monoid = monoid_from_elements(
-        [ident] + simple_elems, mul, ident, name=f"{g.name}w{b}"
-    )
-    # the simple part is closed structurally: a product of constant-column
-    # matrices is again constant-column
-    simple = SubSemigroup(monoid, simple_elems, check=False)
-    if not is_simple(simple):
-        raise InternalInconsistency("constant wreath simple part is not simple")
+
+
+def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantWreath:
+    """G ≀ (B, B̄) generated from |G|^(b−1) + b matrices.
+
+    The generators are the maps f with f(0) = 1 at column 0 and the b
+    constant identity-entry matrices c_k.  They give every (f, k): c_k·(f, 0)
+    is constant with value f(k) at column 0, (f, 0)·(h, 0) = (f·h, 0) for a
+    constant h reaches every f, and (f, 0)·c_k = (f, k).  At b = 1 both
+    kinds are the identity, so G's own generators stand in.  The closure
+    must equal the listed simple part S plus the identity.  S is an ideal
+    of M = S ∪ {1}, so it is simple exactly when it is M's minimal ideal,
+    which one Green computation finds.  The closure costs |M|·|A|
+    products and Green's structure 2|M|·|A|.
+    """
+    b = points if isinstance(points, int) else len(points)
+    total = (len(g) ** b) * b + 1
+    if total > cap:
+        raise CapExceeded(cap, total)
+    one = g.identity
+    ident = identity_row_monomial(b, one)
+    if b == 1:
+        gens = [row_monomial([(0, x)]) for x in g.generators]
+    else:
+        gens = [row_monomial([(0, one)] + [(0, fi) for fi in f]) for f in iter_product(g.elements, repeat=b - 1)]
+        gens += [row_monomial([(k, one)] * b) for k in range(b)]
+    monoid = generate_monoid(gens, make_rowmono_mul(g.mul), cap=cap, identity=ident, name=f"{g.name}w{b}")
+    listed = set(_constant_column_matrices(g, b))
+    if set(monoid.elements) != listed | {ident}:
+        raise InternalInconsistency("the generated constant wreath is not the listed set")
+    # the monoid's own element objects, whose entries its product rule interned
+    simple = SubSemigroup(monoid, [x for x in monoid.elements if x in listed])
+    if minimal_ideal(monoid).member != simple.member:
+        raise InternalInconsistency("constant wreath simple part is not the minimal ideal")
     return ConstantWreath(g, b, monoid, simple)
 
 

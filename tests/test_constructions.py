@@ -293,7 +293,7 @@ def test_mutation_is_detected():
     sol = solve_embedding(probs["E2"])
     c4 = probs["E2"].alpha.source
     g = c4.generators[0]
-    raw = [getattr(t, "element", t) for t in sol.tilde_x]
+    raw = list(sol.raw)
     rows = list(raw[1].data)
     col0, blk = rows[0]
     bcol, bval = blk.data[0]

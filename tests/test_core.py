@@ -4,6 +4,7 @@ from eggbox.core import (
     FiniteGroup,
     MonoidHom,
     canonical_section,
+    closure,
     direct_power,
     generate_monoid,
     is_isomorphic,
@@ -11,7 +12,7 @@ from eggbox.core import (
     naive_omega_power,
     omega_power,
 )
-from eggbox.elements import compose_transformations, transformation
+from eggbox.elements import compose_transformations, make_table_mul, table_element, transformation
 from eggbox.errors import (
     CapExceeded,
     InconsistentProduct,
@@ -59,6 +60,32 @@ def test_generate_monoid_keeps_duplicate_seeds():
     m = generate_monoid([swap, swap], compose_transformations)
     assert len(m.elements) == 2
     assert len(m.generators) == 2  # duplicates are part of the interface
+
+
+def test_generate_monoid_needs_the_identity_to_fix_every_seed():
+    # element 1 of this table is its identity and element 0 a zero; from the
+    # zero as identity the seed is never reached
+    mul = make_table_mul([[0, 0], [0, 1]], "z")
+    with pytest.raises(InconsistentProduct):
+        generate_monoid([table_element("z", 1)], mul, identity=table_element("z", 0))
+
+
+def test_closure_levels_do_not_depend_on_generator_order():
+    g = symmetric(3)
+    gens = list(g.elements[1:])
+    levels, words = closure([g.identity], gens, g.mul)
+    again, _ = closure([g.identity], gens[::-1], g.mul)
+    assert levels == again
+    assert [len(level) for level in levels] == [1, 5]
+    for level in levels:
+        assert level == sorted(level)
+    for x, word in words.items():
+        acc = g.identity
+        for gi in word:
+            acc = g.mul(acc, gens[gi])
+        assert acc == x
+    with pytest.raises(CapExceeded):
+        closure([g.identity], gens, g.mul, cap=5)
 
 
 def test_group_from_monoid_rejects_non_group():

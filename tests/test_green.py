@@ -24,6 +24,7 @@ from eggbox.green import (
     rees_coordinates,
 )
 from eggbox.groups import builtin_group
+from eggbox.wreath import constant_wreath
 
 
 def t3():
@@ -214,18 +215,32 @@ def test_rees_coordinates_products_are_linear_in_the_ideal():
 def test_is_simple_matches_naive():
     m = t3()
     ideal = minimal_ideal(m)
-    sub = SubSemigroup(m, ideal.elements, check=False)
+    sub = SubSemigroup(m, ideal.elements)
     assert is_simple(sub)
     assert naive_is_simple(sub)
-    whole = SubSemigroup(m, m.elements, check=False)
+    whole = SubSemigroup(m, m.elements)
     assert not is_simple(whole)
     assert not naive_is_simple(whole)
+
+
+def test_is_simple_agrees_with_naive_on_idempotent_spans():
+    m = t3()
+    # the idempotents of T3 generate the identity and all 21 singular maps
+    spans = [idempotent_generated(SubSemigroup(m, m.elements)),
+             idempotent_generated(minimal_ideal(m).semigroup)]
+    for gname, b in (("C2", 2), ("C3", 2), ("S3", 1)):
+        spans.append(idempotent_generated(constant_wreath(builtin_group(gname), b).simple))
+    assert len(spans[0]) == 22
+    assert spans[0].generators == m.idempotents()
+    verdicts = [is_simple(span) for span in spans]
+    assert verdicts == [naive_is_simple(span) for span in spans]
+    assert verdicts == [False, True, True, True, True]
 
 
 def test_idempotent_generated_of_band_is_everything():
     m = t3()
     ideal = minimal_ideal(m)
-    sub = SubSemigroup(m, ideal.elements, check=False)
+    sub = SubSemigroup(m, ideal.elements)
     span = idempotent_generated(sub)
     assert set(span.elements) == set(ideal.elements)
 

@@ -26,6 +26,13 @@ def test_normal_subgroup_counts():
         assert subs[-1] == frozenset(g.elements)
 
 
+def test_normal_subgroups_match_the_naive_lattice():
+    for name in ("S3", "C2xC2", "D4", "Q8", "A4", "C6"):
+        g = builtin_group(name)
+        naive = [n for n in naive_all_subgroups(g) if naive_is_normal(g, n)]
+        assert normal_subgroups(g) == naive, name
+
+
 def test_is_normal_matches_naive():
     g = builtin_group("S3")
     for sub in naive_all_subgroups(g):
