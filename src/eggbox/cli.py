@@ -32,7 +32,7 @@ from .errors import (
 )
 from .green import green_structure, maximal_subgroup, minimal_ideal
 from .groups import identify
-from .report import Check, ConstructionReport
+from .report import FAIL, PASS, Check, ConstructionReport
 from .srank import r_s
 from .wreath import is_faithful_on_min_ideal
 
@@ -133,11 +133,19 @@ def cmd_srank(args) -> int:
             ("kernel", len(res.kernel)),
         ],
     )
+    problems = []
+    if len(g.elements) != len(res.kernel) * len(s.elements) ** res.rank:
+        problems.append(f"|G| = {len(g.elements)} is not "
+                        f"|M_S(G)|·|S|^r = {len(res.kernel)}·{len(s.elements)}^{res.rank}")
+    if not res.projection.is_surjective():
+        problems.append("the projection onto G/M_S(G) is not onto")
+    if res.projection.kernel() != frozenset(res.kernel):
+        problems.append("M_S(G) is not the preimage of the identity")
     report.add(
         Check(
             "rank-computed",
-            "pass",
-            f"r = {res.rank}, |M_S(G)| = {len(res.kernel)}",
+            FAIL if problems else PASS,
+            "; ".join(problems) or f"r = {res.rank}, |M_S(G)| = {len(res.kernel)}",
         )
     )
     return _emit(report)

@@ -138,18 +138,18 @@ def _check_associativity(mul, elements, seed=0):
             raise InconsistentProduct(f"associativity fails on ({a!r}, {b!r}, {c!r})")
 
 
-def closure(start, gens, step, cap: int = DEFAULT_CAP):
+def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
     """Breadth-first closure of ``start`` under x -> step(x, g), g in ``gens``.
 
     Returns ``(levels, words)``.  ``levels[0]`` holds the distinct start
     elements and ``levels[k]`` those first reached in k steps, each level
-    sorted by canonical key, so the levels do not depend on the order of
-    ``gens``.  ``words[x]`` is the tuple of generator indices along which x
-    was first reached, () for a start element; it doubles as the membership
-    test.  Raises :class:`CapExceeded` once a level takes the count past
-    ``cap``.
+    sorted by ``key`` (the canonical key of an :class:`Element`; callers
+    that walk element indices pass ``None`` to sort them by value), so the
+    levels do not depend on the order of ``gens``.  ``words[x]`` is the
+    tuple of generator indices along which x was first reached, () for a
+    start element; it doubles as the membership test.  Raises
+    :class:`CapExceeded` once a level takes the count past ``cap``.
     """
-    key = attrgetter("key")
     words = {}
     level = []
     for x in start:

@@ -94,11 +94,16 @@ def tuple_element(components) -> Element:
 
 
 def compose_transformations(a: Element, b: Element) -> Element:
-    """(a*b) maps i to (i a) b; right action."""
+    """(a*b) maps i to (i a) b; right action.
+
+    Builds the product without :func:`transformation`'s range check: every
+    image is an image of ``b``, which was checked when ``b`` was built.
+    """
     fa, fb = a.data, b.data
     if len(fa) != len(fb):
         raise InconsistentProduct("transformation degrees differ")
-    return transformation(tuple(fb[i] for i in fa))
+    t = tuple(map(fb.__getitem__, fa))
+    return Element("transf", t, ("t", t))
 
 
 def make_table_mul(table, label: str):

@@ -3,9 +3,19 @@
 For a finite simple group S, m_s(G) is the intersection of all normal
 subgroups of G whose quotient is isomorphic to S (all of G when there are
 none), and the S-rank r_s(G) is the k with G/m_s(G) isomorphic to S^k.
-The fast path enumerates normal subgroups as joins of principal normal
-closures; a deliberately naive oracle walks the full subgroup lattice so
-the two can be compared on small groups.
+
+The quadratic work runs over element indices.  A public call that needs
+it compiles the group once into an integer Cayley table, at |G|·|A| group
+products for A the generators, and from then on only looks entries up:
+:func:`normal_subgroups` takes one normal closure per conjugacy class and
+joins them, and the elementary-abelian check of a prime-order S reads
+every commutator and p-th power off the table.  Filling the table from
+the generator edges relies on associativity, which
+:func:`~eggbox.core.generate_monoid` checked on every triple of each
+group small enough to compile.  Nothing keeps a table between calls.
+
+A deliberately naive oracle walks the full subgroup lattice with element
+products, so the two can be compared on small groups.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from .core import (
     monoid_from_elements,
     underlying,
 )
-from .elements import Element, make_table_mul, table_element
+from .elements import make_table_mul, table_element
 from .errors import (
     InternalInconsistency,
     NotSimple,
@@ -34,18 +44,35 @@ from .report import FAIL, PASS, Check, ConstructionReport
 NORMAL_LIMIT = 200
 
 
-def _subgroup_closure(g: FiniteGroup, seed) -> frozenset:
-    """Subgroup generated by ``seed``, as a frozenset: the closure of 1
-    under right multiplication by the seed is product-closed and finite,
-    hence a subgroup."""
-    return frozenset(closure([g.identity], [x for x in seed if x != g.identity], g.mul)[1])
+def _cayley_table(g: FiniteGroup):
+    """``(table, inverse)`` over element indices: ``table[x][y]`` is the
+    index of x·y and ``inverse[x]`` that of x⁻¹.
 
-
-def _normal_closure(g: FiniteGroup, x: Element) -> frozenset:
+    Only the right Cayley graph x -> x·a, a a generator, takes group
+    products: |G|·|A| of them.  Every other entry follows along witness
+    words by lookups, since y = y′·a gives x·y = (x·y′)·a.  That step is
+    associativity, which ``generate_monoid`` checked on every triple of
+    each group of at most ``EXHAUSTIVE_LIMIT`` = 200 elements; every
+    caller stops at ``NORMAL_LIMIT``, no larger, before compiling.
+    """
+    elements = g.elements
+    index = g.index
     mul = g.mul
-    inv = g.inverse
-    conj = closure([x], g.generators, lambda v, s: mul(mul(inv(s), v), s))[1]
-    return _subgroup_closure(g, conj)
+    words = g.monoid.words
+    right = [[index[mul(x, a)] for a in g.generators] for x in elements]
+    at_word = {words[x]: i for i, x in enumerate(elements)}
+    e = index[g.identity]
+    # column y holds x·y for every x; breadth-first element order puts the
+    # prefix y′ of y's word before y
+    columns = [None] * len(elements)
+    columns[e] = list(range(len(elements)))
+    for y, x in enumerate(elements):
+        word = words[x]
+        if word:
+            a = word[-1]
+            columns[y] = [right[t][a] for t in columns[at_word[word[:-1]]]]
+    inverse = [column.index(e) for column in columns]
+    return list(zip(*columns)), inverse
 
 
 def is_normal(g: FiniteGroup, sub) -> bool:
@@ -64,18 +91,39 @@ def normal_subgroups(g: FiniteGroup):
     """All normal subgroups, ordered by size then by element order.
 
     Every normal subgroup is the join of the normal closures of its
-    elements, so the join closure of the principal closures is complete;
-    the join of normal N and P is the set product N·P.
-    Bounded at 200 elements.
+    elements, and conjugate elements share one, so the join closure of
+    the normal closures of the conjugacy classes is complete.  The walks
+    run over the compiled Cayley table: a class is the closure of one
+    element under conjugation by the generators, its normal closure the
+    subgroup the class generates, and the join of normal N and P the set
+    product N·P, the right closure of N under P∖N.  The group products are
+    the table's |G|·|A|; everything else is lookups.  The table relies on
+    associativity, which ``generate_monoid`` checked on every triple at
+    this size: raises :class:`SizeExceeded` above 200 elements.
     """
     if len(g.elements) > NORMAL_LIMIT:
         raise SizeExceeded(
             f"normal subgroup enumeration above {NORMAL_LIMIT} elements")
+    table, inverse = _cayley_table(g)
+    e = g.index[g.identity]
+    gens = [g.index[s] for s in g.generators]
+
+    def times(x, y):
+        return table[x][y]
+
+    def conjugate(v, s):
+        return table[table[inverse[s]][v]][s]
+
+    seen = set()
     principal = {}
-    for x in g.elements:
-        principal.setdefault(_normal_closure(g, x), None)
-    principal = list(principal)
-    found = {frozenset({g.identity})}
+    for x in range(len(table)):
+        if x in seen:
+            continue
+        cls = closure([x], gens, conjugate, key=None)[1]
+        seen.update(cls)
+        sub = closure([e], [c for c in cls if c != e], times, key=None)[1]
+        principal.setdefault(frozenset(sub), None)
+    found = {frozenset({e})}
     frontier = list(found)
     while frontier:
         fresh = []
@@ -85,13 +133,14 @@ def normal_subgroups(g: FiniteGroup):
                     continue
                 # the right closure of N under P∖N is N·P: each n·p with
                 # p in P ∩ N already lies in N
-                join = frozenset(closure(n, pc - n, g.mul)[1])
+                join = frozenset(closure(n, pc - n, times, key=None)[1])
                 if join not in found:
                     found.add(join)
                     fresh.append(join)
         frontier = fresh
-    key = lambda n: (len(n), sorted(g.index[x] for x in n))
-    return sorted(found, key=key)
+    elements = g.elements
+    return [frozenset(elements[i] for i in n)
+            for n in sorted(found, key=lambda n: (len(n), sorted(n)))]
 
 
 def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
@@ -208,21 +257,24 @@ def r_s(g: FiniteGroup, s: FiniteGroup) -> SRankResult:
 
 def _check_elementary(g: FiniteGroup, s: FiniteGroup, kernel) -> None:
     """For S of prime order the quotient is elementary abelian, so the
-    kernel must contain every commutator and every |S|-th power."""
+    kernel must contain every commutator and every |S|-th power: all |G|²
+    and |G| of them, read off the compiled Cayley table."""
     p = len(s.elements)
     if not _is_prime(p):
         return
-    mul = g.mul
-    member = set(kernel)
-    for x in g.elements:
-        xp = g.identity
+    table, inverse = _cayley_table(g)
+    member = {g.index[x] for x in kernel}
+    e = g.index[g.identity]
+    for x, row in enumerate(table):
+        xp = e
         for _ in range(p):
-            xp = mul(xp, x)
+            xp = table[xp][x]
         if xp not in member:
-            raise InternalInconsistency(f"{x!r}^{p} escapes m_s")
-        for y in g.elements:
-            comm = mul(mul(g.inverse(x), g.inverse(y)), mul(x, y))
-            if comm not in member:
+            raise InternalInconsistency(f"{g.elements[x]!r}^{p} escapes m_s")
+        # x⁻¹·y⁻¹·x·y for every y
+        inv_x = table[inverse[x]]
+        for y, xy in enumerate(row):
+            if table[inv_x[inverse[y]]][xy] not in member:
                 raise InternalInconsistency("a commutator escapes m_s")
 
 
@@ -265,6 +317,13 @@ def check_rank_monotone(phi: MonoidHom, s: FiniteGroup) -> ConstructionReport:
 
 # ---------------------------------------------------------------------------
 # naive oracle: full subgroup lattice, per-element normality, brute factor
+
+
+def _subgroup_closure(g: FiniteGroup, seed) -> frozenset:
+    """Subgroup generated by ``seed``, as a frozenset: the closure of 1
+    under right multiplication by the seed is product-closed and finite,
+    hence a subgroup."""
+    return frozenset(closure([g.identity], [x for x in seed if x != g.identity], g.mul)[1])
 
 
 def naive_all_subgroups(g: FiniteGroup):

@@ -1,6 +1,11 @@
 from pathlib import Path
 
+import pytest
+
+from eggbox import cli
 from eggbox.cli import main
+from eggbox.core import MonoidHom
+from eggbox.srank import r_s
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "definitions"
 
@@ -138,3 +143,35 @@ def test_srank(capsys):
     code, _, err = run(capsys, "srank", "C3", "C4")
     assert code == 2
     assert "simple" in err
+
+
+def _raise_rank(g, res):
+    res.rank += 1
+
+
+def _collapse_projection(g, res):
+    q = res.quotient
+    res.projection = MonoidHom(g, q, {x: q.identity for x in g.elements}, check=False)
+
+
+def _shift_kernel(g, res):
+    moved = next(x for x in g.elements if x not in res.kernel)
+    res.kernel = frozenset(res.kernel - {g.identity} | {moved})
+
+
+@pytest.mark.parametrize("doctor, witness", [
+    (_raise_rank, "is not |M_S(G)|"),
+    (_collapse_projection, "is not onto"),
+    (_shift_kernel, "not the preimage of the identity"),
+])
+def test_srank_reports_a_doctored_result(capsys, monkeypatch, doctor, witness):
+    def doctored(g, s):
+        res = r_s(g, s)
+        doctor(g, res)
+        return res
+
+    monkeypatch.setattr(cli, "r_s", doctored)
+    code, out, _ = run(capsys, "srank", "S3", "C2")
+    assert code == 1
+    assert trailer(out)["check.rank-computed"].startswith("fail;witness=")
+    assert witness in out

@@ -33,6 +33,20 @@ def test_transformation_identity():
     assert compose_transformations(s, e) == s
 
 
+def test_trusted_transformation_product_matches_checked_constructor():
+    rnd = random.Random(7)
+    for _ in range(200):
+        n = rnd.randint(1, 8)
+        a = transformation([rnd.randrange(n) for _ in range(n)])
+        b = transformation([rnd.randrange(n) for _ in range(n)])
+        ab = compose_transformations(a, b)
+        expected = transformation([b.data[i] for i in a.data])
+        assert (ab.kind, ab.data, ab.key) == (expected.kind, expected.data, expected.key)
+        assert hash(ab) == hash(expected)
+    with pytest.raises(InconsistentProduct):
+        compose_transformations(transformation([0, 1]), transformation([0, 1, 2]))
+
+
 def test_table_elements_multiply_by_lookup():
     mul = make_table_mul([[0, 1], [1, 0]], "z2")
     a = table_element("z2", 0)

@@ -1,9 +1,16 @@
 import pytest
 
 from eggbox.core import MonoidHom, direct_power, is_isomorphic
-from eggbox.errors import NotSimple, NotSurjective, NotWellDefined, SizeExceeded
+from eggbox.errors import (
+    InternalInconsistency,
+    NotSimple,
+    NotSurjective,
+    NotWellDefined,
+    SizeExceeded,
+)
 from eggbox.groups import builtin_group
 from eggbox.srank import (
+    _check_elementary,
     check_rank_monotone,
     is_normal,
     m_s,
@@ -27,10 +34,37 @@ def test_normal_subgroup_counts():
 
 
 def test_normal_subgroups_match_the_naive_lattice():
-    for name in ("S3", "C2xC2", "D4", "Q8", "A4", "C6"):
+    for name in ("S3", "C2xC2", "D4", "Q8", "A4", "C6",
+                 "S4", "C2xC2xC2", "D6", "C2xC6", "C3xC3"):
         g = builtin_group(name)
         naive = [n for n in naive_all_subgroups(g) if naive_is_normal(g, n)]
         assert normal_subgroups(g) == naive, name
+    assert len(normal_subgroups(builtin_group("C2xC2xC2"))) == 16
+
+
+def test_normal_subgroups_of_a_simple_group():
+    a5 = builtin_group("A5")
+    assert normal_subgroups(a5) == [frozenset({a5.identity}), frozenset(a5.elements)]
+
+
+def test_normal_subgroups_take_one_product_per_generator_edge():
+    s5 = builtin_group("S5")
+    m = s5.monoid
+    rule = m.mul
+    count = 0
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return rule(a, b)
+
+    m.mul = counted
+    try:
+        subs = normal_subgroups(s5)
+    finally:
+        m.mul = rule
+    assert [len(n) for n in subs] == [1, 60, 120]
+    assert count <= len(s5.elements) * len(s5.generators) == 240
 
 
 def test_is_normal_matches_naive():
@@ -109,6 +143,22 @@ def test_rank_matches_naive_oracle():
         g = builtin_group(name)
         assert r_s(g, c2).rank == naive_rank(g, c2), name
         assert r_s(g, c3).rank == naive_rank(g, c3), name
+
+
+def test_elementary_check_catches_an_escaping_power():
+    c4 = builtin_group("C4")
+    with pytest.raises(InternalInconsistency, match=r"\^2 escapes"):
+        _check_elementary(c4, builtin_group("C2"), {c4.identity})
+
+
+def test_elementary_check_catches_an_escaping_commutator():
+    s3 = builtin_group("S3")
+    transpositions = {x for x in s3.elements if s3.order_of(x) == 2}
+    kernel = {s3.identity} | transpositions
+    # every cube lies in the kernel: 3-cycles cube to 1, transpositions to themselves
+    assert all(s3.monoid.power(x, 3) in kernel for x in s3.elements)
+    with pytest.raises(InternalInconsistency, match="commutator"):
+        _check_elementary(s3, builtin_group("C3"), kernel)
 
 
 def test_rank_requires_simple_group():
