@@ -8,8 +8,13 @@ Every generated set in the library comes from one breadth-first walk,
 :func:`closure`: monoids (:func:`generate_monoid`, and
 :func:`monoid_from_elements` for a known closed set, which generates it
 from all of its elements), subgroups and normal closures, and the
-idempotent-generated subsemigroups.  Both monoid builders validate what
-they return.
+idempotent-generated subsemigroups.  A monoid keeps the closure's edges
+x -> x·a as its right Cayley graph.
+
+Both monoid builders validate what they return, exactly and at every
+size.  A product rule certified associative (see :mod:`eggbox.elements`)
+needs its identity checked on the seeds only; any other rule gets the full
+identity check and Light's associativity test on all of M.
 
 Element order is deterministic: breadth-first level, then canonical key
 within a level.  Nothing downstream iterates over raw sets, so all derived
@@ -18,7 +23,6 @@ data (Green's classes, coordinates, reports) is reproducible bit for bit.
 
 from __future__ import annotations
 
-import random
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -40,14 +44,18 @@ from .errors import (
 
 DEFAULT_CAP = 500_000
 
-# Associativity is checked on every triple up to this many elements and on
-# SAMPLE_COUNT seeded random triples above; isomorphism search stops here.
-EXHAUSTIVE_LIMIT = 200
-SAMPLE_COUNT = 10_000
+# is_isomorphic backtracks over generator images up to this group order
+ISOMORPHISM_LIMIT = 200
 
 
 class FiniteMonoid:
-    """A fully enumerated finite monoid with generator witness words."""
+    """A fully enumerated finite monoid with generator witness words.
+
+    ``right[i][t]`` is the index of x·a for the i-th element x and the t-th
+    generator a: the right Cayley graph.  :func:`generate_monoid` hands in
+    the edges its closure made; a monoid built without them multiplies
+    them out here.
+    """
 
     __slots__ = (
         "name",
@@ -57,18 +65,22 @@ class FiniteMonoid:
         "generators",
         "index",
         "words",
+        "right",
         "_idempotents",
         "_green",
     )
 
-    def __init__(self, name, elements, mul, identity, generators, words):
+    def __init__(self, name, elements, mul, identity, generators, words, right=None):
         self.name = name
         self.elements = tuple(elements)
         self.mul = mul
         self.identity = identity
         self.generators = tuple(generators)
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.index = index = {x: i for i, x in enumerate(self.elements)}
         self.words = words
+        if right is None:
+            right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
+        self.right = right
         self._idempotents = None
         self._green = None
 
@@ -110,35 +122,42 @@ def _check_identity(mul, identity, elements):
             raise InconsistentProduct(f"identity is not neutral on {x!r}")
 
 
-def _check_associativity(mul, elements, seed=0):
-    """Associativity policy: exhaustive up to 200 elements via an index
-    table, 10 000 seeded random triples above."""
+def _check_light(mul, elements, index, right):
+    """Exact check that ``mul`` is associative on a closure with the
+    identity first: the full identity check and Light's test.
+
+    Tabulates all |M|² products by index, then checks that the identity is
+    neutral and that (x·a)·y = x·(a·y) for every x, y in M and every
+    generator a, with x·a read off ``right`` (Light's test, Clifford and
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2).  That
+    suffices: every z in M is reached from the identity 1 as z = z′·a, so
+    if (x·z′)·y = x·(z′·y) for all x, y, then
+    (x·z)·y = ((x·z′)·a)·y = (x·z′)·(a·y) = x·(z′·(a·y)) = x·((z′·a)·y) = x·(z·y),
+    using the case of z′ with y = a and with y = a·y, and Light's test
+    twice; the induction starts from z = 1, which is neutral.
+    """
     n = len(elements)
-    if n == 0:
-        return
-    if n <= EXHAUSTIVE_LIMIT:
-        idx = {x: i for i, x in enumerate(elements)}
-        table = [[idx[mul(a, b)] for b in elements] for a in elements]
-        rng = range(n)
-        for i in rng:
-            ti = table[i]
-            for j in rng:
-                # (i·j)·k against i·(j·k) for every k at once
-                row_l = table[ti[j]]
-                if row_l != [ti[x] for x in table[j]]:
-                    k = next(k for k in rng if row_l[k] != ti[table[j][k]])
-                    raise InconsistentProduct(f"associativity fails on indices ({i}, {j}, {k})")
-        return
-    rnd = random.Random(seed)
-    for _ in range(SAMPLE_COUNT):
-        a = elements[rnd.randrange(n)]
-        b = elements[rnd.randrange(n)]
-        c = elements[rnd.randrange(n)]
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            raise InconsistentProduct(f"associativity fails on ({a!r}, {b!r}, {c!r})")
+    try:
+        table = [tuple([index[mul(x, y)] for y in elements]) for x in elements]
+    except KeyError:
+        raise InconsistentProduct("a product leaves the closure of the generators") from None
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            raise InconsistentProduct(f"identity is not neutral on {elements[i]!r}")
+    # row 0 of ``right`` lists the generators' indices, since 1·a = a; a
+    # generator listed twice is tested once
+    for a, t in {a: t for t, a in enumerate(right[0])}.items():
+        ta = table[a]
+        for i, ti in enumerate(table):
+            # (x·a)·y against x·(a·y) for every y at once
+            xa_y = table[right[i][t]]
+            if xa_y != tuple(map(ti.__getitem__, ta)):
+                j = next(j for j in range(n) if xa_y[j] != ti[ta[j]])
+                raise InconsistentProduct(
+                    f"associativity fails on ({elements[i]!r}, {elements[a]!r}, {elements[j]!r})")
 
 
-def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
+def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key"), succ=None):
     """Breadth-first closure of ``start`` under x -> step(x, g), g in ``gens``.
 
     Returns ``(levels, words)``.  ``levels[0]`` holds the distinct start
@@ -147,7 +166,9 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
     that walk element indices pass ``None`` to sort them by value), so the
     levels do not depend on the order of ``gens``.  ``words[x]`` is the
     tuple of generator indices along which x was first reached, () for a
-    start element; it doubles as the membership test.  Raises
+    start element; it doubles as the membership test.  When ``succ`` is a
+    list, the row [step(x, g) for g in gens] of every element x is appended
+    to it in the order of the returned levels.  Raises
     :class:`CapExceeded` once a level takes the count past ``cap``.
     """
     words = {}
@@ -156,7 +177,7 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
         if x not in words:
             words[x] = ()
             level.append(x)
-    indexed = list(enumerate(gens))
+    gens = list(gens)
     count = 0
     levels = []
     while level:
@@ -168,11 +189,13 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
         fresh = []
         for x in level:
             wx = words[x]
-            for gi, g in indexed:
-                y = step(x, g)
+            row = [step(x, g) for g in gens]
+            for gi, y in enumerate(row):
                 if y not in words:
                     words[y] = wx + (gi,)
                     fresh.append(y)
+            if succ is not None:
+                succ.append(row)
         level = fresh
     return levels, words
 
@@ -194,8 +217,17 @@ def generate_monoid(
     The identity is inferred for transformation seeds and must be supplied
     for the other element kinds.  Raises :class:`CapExceeded` when the
     closure grows past ``cap`` and :class:`InconsistentProduct` when the
-    product rule yields a value of the wrong shape or the identity fails
-    to fix a seed.
+    product rule yields a value of the wrong shape, the identity fails to
+    fix a seed, or the product is not associative.
+
+    Every element is reached from the identity 1 as x = x′·a for a seed a.
+    A rule certified associative (its ``associative`` attribute, see
+    :mod:`eggbox.elements`) therefore needs only 1·1 = 1 and 1·a = a = a·1
+    for the seeds: then 1·x = (1·x′)·a = x′·a = x and x·1 = x′·(a·1) = x
+    along witness words.  Any other rule gets the identity checked on every
+    element and Light's test on all of M (:func:`_check_light`), at |M|²
+    products; a table rule whose whole table the closure covers is then
+    certified for later closures.
     """
     seeds = list(seeds)
     if identity is None:
@@ -206,6 +238,9 @@ def generate_monoid(
     for s in seeds:
         if not same_shape(identity, s):
             raise InconsistentProduct(f"seed {s!r} has the wrong shape")
+    # with 1 neutral on the seeds, each seed is its own product 1·a, so its
+    # word is (gi,) for its first gi
+    _check_identity(product_rule, identity, [identity] + seeds)
 
     def step(x, g):
         y = product_rule(x, g)
@@ -213,16 +248,18 @@ def generate_monoid(
             raise InconsistentProduct(f"product of {x!r} and {g!r} is {y!r}")
         return y
 
-    levels, words = closure([identity], seeds, step, cap)
-    # with every seed reached, the identity check below makes each seed its
-    # own product with the identity, so its word is (gi,) for its first gi
-    for s in seeds:
-        if s not in words:
-            raise InconsistentProduct(f"the identity does not fix the seed {s!r}")
+    right = []
+    levels, words = closure([identity], seeds, step, cap, succ=right)
     elements = [x for level in levels for x in level]
-    _check_identity(product_rule, identity, elements)
-    _check_associativity(product_rule, elements)
-    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words)
+    index = {x: i for i, x in enumerate(elements)}
+    for row in right:  # successors x·a, replaced by their indices
+        row[:] = map(index.__getitem__, row)
+    if not getattr(product_rule, "associative", False):
+        _check_light(product_rule, elements, index, right)
+        carrier = getattr(product_rule, "carrier", None)
+        if carrier is not None and all(x in index for x in carrier):
+            product_rule.associative = True
+    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right)
 
 
 def monoid_from_elements(
@@ -376,11 +413,13 @@ class MonoidHom:
         if self.map[src.identity] != tgt.identity:
             raise NotWellDefined("identity does not map to identity")
         # f(x·g) = f(x)·f(g) for every generator g gives f(x·y) = f(x)·f(y)
-        # by induction along y's witness word: |M|·|A| pairs, at every size
-        for x in src.elements:
+        # by induction along y's witness word: |M|·|A| pairs, at every size,
+        # with x·g read off the source's right Cayley graph
+        els = src.elements
+        for x, row in zip(els, src.right):
             fx = self.map[x]
-            for g in src.generators:
-                if self.map[src.mul(x, g)] != tgt.mul(fx, self.map[g]):
+            for g, xg in zip(src.generators, row):
+                if self.map[els[xg]] != tgt.mul(fx, self.map[g]):
                     raise NotWellDefined(f"map breaks on the pair ({x!r}, {g!r})")
 
     @classmethod
@@ -407,13 +446,12 @@ class MonoidHom:
             for gi in src.words[x]:
                 acc = tgt.mul(acc, images[gi])
             mapping[x] = acc
-        for x in src.elements:
+        els = src.elements
+        for x, row in zip(els, src.right):
             fx = mapping[x]
-            for gi, g in enumerate(src.generators):
-                if mapping[src.mul(x, g)] != tgt.mul(fx, images[gi]):
-                    raise NotWellDefined(
-                        f"two words for {src.mul(x, g)!r} yield different images"
-                    )
+            for y, xg in zip(images, row):
+                if mapping[els[xg]] != tgt.mul(fx, y):
+                    raise NotWellDefined(f"two words for {els[xg]!r} yield different images")
         return cls(source, target, mapping, check=False)
 
     def __call__(self, x: Element) -> Element:
@@ -524,10 +562,10 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[MonoidHom]:
     """Search for an isomorphism; returns a verified MonoidHom or None.
 
     Exhaustive backtracking over generator images filtered by element order,
-    bounded at 200 elements.
+    bounded at ``ISOMORPHISM_LIMIT`` = 200 elements.
     """
-    if len(g1) > EXHAUSTIVE_LIMIT or len(g2) > EXHAUSTIVE_LIMIT:
-        raise SizeExceeded(f"isomorphism search above {EXHAUSTIVE_LIMIT} elements")
+    if len(g1) > ISOMORPHISM_LIMIT or len(g2) > ISOMORPHISM_LIMIT:
+        raise SizeExceeded(f"isomorphism search above {ISOMORPHISM_LIMIT} elements")
     if len(g1) != len(g2):
         return None
     if g1.order_profile() != g2.order_profile():

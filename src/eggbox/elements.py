@@ -28,6 +28,15 @@ distinct pair of entries once and hands out equal entries as one shared
 object, so a product of n-row matrices costs n dictionary lookups rather
 than n entry products.  Keys, and so equality, order and hashing, are the
 same as for matrices built by :func:`row_monomial`.
+
+Every product rule made here carries a certificate, its ``associative``
+attribute: True means the rule is associative on every input it accepts,
+with the proof in the docstring of the function that makes the rule.
+Composition of transformations always is; row-monomial and componentwise
+rules are when their entry or component rules are; a table rule starts
+uncertified and :func:`~eggbox.core.generate_monoid` certifies it once a
+closure over its whole table passes the exact associativity test.  A
+plain callable without the attribute counts as uncertified.
 """
 
 from __future__ import annotations
@@ -98,6 +107,8 @@ def compose_transformations(a: Element, b: Element) -> Element:
 
     Builds the product without :func:`transformation`'s range check: every
     image is an image of ``b``, which was checked when ``b`` was built.
+    Certified associative: composition of maps is, since both (ab)c and
+    a(bc) send i to ((i a) b) c.
     """
     fa, fb = a.data, b.data
     if len(fa) != len(fb):
@@ -106,11 +117,21 @@ def compose_transformations(a: Element, b: Element) -> Element:
     return Element("transf", t, ("t", t))
 
 
+compose_transformations.associative = True
+
+
 def make_table_mul(table, label: str):
     """Product rule for a table monoid: ``table[i][j]`` is the index of the
-    product of elements i and j."""
+    product of elements i and j.
+
+    Nothing about an arbitrary table is known, so the rule starts
+    uncertified.  Its ``carrier`` lists the k elements it multiplies, and
+    :func:`~eggbox.core.generate_monoid` sets ``associative`` once a
+    closure containing all of them passes the exact test: associativity
+    on the closure is then associativity of the whole table.
+    """
     k = len(table)
-    cache = [table_element(label, i) for i in range(k)]
+    cache = tuple(table_element(label, i) for i in range(k))
 
     def mul(a: Element, b: Element) -> Element:
         if a.kind != "table" or b.kind != "table":
@@ -121,6 +142,8 @@ def make_table_mul(table, label: str):
             raise InconsistentProduct(f"elements of table {la!r}/{lb!r} fed to table {label!r}")
         return cache[table[ia][ib]]
 
+    mul.associative = False
+    mul.carrier = cache
     return mul
 
 
@@ -144,6 +167,14 @@ def make_rowmono_mul(entry_mul):
     memo, which is the only way an entry gets there.  A wrong entry product
     is remembered as it is, so a product rule that is wrong on one pair
     gives the same matrices as without the memo.
+
+    The rule is certified associative when ``entry_mul`` is at the time
+    the rule is made (Rhodes and Steinberg, *The q-theory of Finite
+    Semigroups*, 2009: row-monomial matrices over a monoid form a monoid).
+    With row i of X at (c, u), row c of Y at (d, v) and row d of Z at
+    (f, w), row i of both (XY)Z and X(YZ) sits in column f, with entries
+    (uv)w and u(vw), which agree.  The memo hands back the value
+    ``entry_mul`` gave for the pair, so it changes nothing here.
     """
     memo = {}
     canon = {}
@@ -174,11 +205,14 @@ def make_rowmono_mul(entry_mul):
         # Element when it entered the memo
         return Element("rowmono", tuple(rows), ("m", n, tuple(keys)))
 
+    mul.associative = getattr(entry_mul, "associative", False)
     return mul
 
 
 def make_tuple_mul(muls):
-    """Componentwise product rule."""
+    """Componentwise product rule, certified associative when every
+    component rule is at the time it is made: both bracketings of a
+    triple agree in each component."""
     muls = tuple(muls)
 
     def mul(a: Element, b: Element) -> Element:
@@ -189,6 +223,7 @@ def make_tuple_mul(muls):
             raise InconsistentProduct("component counts differ")
         return tuple_element(tuple(f(x, y) for f, x, y in zip(muls, ca, cb)))
 
+    mul.associative = all(getattr(f, "associative", False) for f in muls)
     return mul
 
 

@@ -2,11 +2,13 @@
 
 The classification follows Froidure and Pin: the right Cayley graph of M
 over its generators has an edge x -> xa for every generator a, the left
-graph an edge x -> ax, so building both costs 2|M||A| products for a
-generating set A.  Since M is generated by A, y lies in xM exactly when a
-path leads from x to y in the right graph, so the R-classes are its
-strongly connected components; likewise the L-classes are those of the left
-graph and the J-classes those of the two graphs together, and H = R ∩ L.
+graph an edge x -> ax.  The right graph is the one the closure that
+enumerated M walked, kept on the monoid, so only the left graph costs
+products: |M||A| for a generating set A.  Since M is generated by A, y
+lies in xM exactly when a path leads from x to y in the right graph, so
+the R-classes are its strongly connected components; likewise the
+L-classes are those of the left graph and the J-classes those of the two
+graphs together, and H = R ∩ L.
 
 A J-class that no edge leaves is closed under the generators on both
 sides, hence an ideal; the minimal ideal is the one such class, and the
@@ -159,7 +161,7 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
     mul = m.mul
     idx = m.index
     gens = m.generators
-    right = [[idx[mul(x, a)] for a in gens] for x in els]
+    right = m.right
     left = [[idx[mul(a, x)] for a in gens] for x in els]
     both = [rx + lx for rx, lx in zip(right, left)]
     r_comp = _components(right)
@@ -380,13 +382,13 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
     read off the stored edges and G multiplies by a table: |G|² products.
 
     This suffices when the product is associative, which generate_monoid
-    tests (every triple up to 200 elements, sampled triples above).  For
-    coord(y) = (j, h, μ), following y's witness word from x along right
-    edges gives coord(x·y) = (i, g·H, μ′) with H, μ′ fixed by λ and y, so
-    coord(v_λ·y) = (0, H, μ′).  Following v_λ's word from y along left
-    edges gives coord(v_λ·y) = (r, K·h, μ) with r, K fixed by λ and j; at
-    y = u_j, v_λ·u_j is the sandwich entry P in G, at (0, P, 0), so K = P.
-    Hence coord(x·y) = (i, g·P·h, μ).
+    establishes for every monoid it returns, by a certified product rule
+    or by Light's exact test.  For coord(y) = (j, h, μ), following y's
+    witness word from x along right edges gives coord(x·y) = (i, g·H, μ′)
+    with H, μ′ fixed by λ and y, so coord(v_λ·y) = (0, H, μ′).  Following
+    v_λ's word from y along left edges gives coord(v_λ·y) = (r, K·h, μ)
+    with r, K fixed by λ and j; at y = u_j, v_λ·u_j is the sandwich entry
+    P in G, at (0, P, 0), so K = P.  Hence coord(x·y) = (i, g·P·h, μ).
     """
     idx = m.index
     one = rc.group.identity

@@ -5,14 +5,14 @@ subgroups of G whose quotient is isomorphic to S (all of G when there are
 none), and the S-rank r_s(G) is the k with G/m_s(G) isomorphic to S^k.
 
 The quadratic work runs over element indices.  A public call that needs
-it compiles the group once into an integer Cayley table, at |G|·|A| group
-products for A the generators, and from then on only looks entries up:
-:func:`normal_subgroups` takes one normal closure per conjugacy class and
-joins them, and the elementary-abelian check of a prime-order S reads
-every commutator and p-th power off the table.  Filling the table from
-the generator edges relies on associativity, which
-:func:`~eggbox.core.generate_monoid` checked on every triple of each
-group small enough to compile.  Nothing keeps a table between calls.
+it compiles the group once into an integer Cayley table from the right
+Cayley graph its closure kept, with no group products, and from then on
+only looks entries up: :func:`normal_subgroups` takes one normal closure
+per conjugacy class and joins them, and the elementary-abelian check of a
+prime-order S reads every commutator and p-th power off the table.
+Filling the table from the generator edges relies on associativity, which
+:func:`~eggbox.core.generate_monoid` establishes exactly for every group
+it builds.  Nothing keeps a table between calls.
 
 A deliberately naive oracle walks the full subgroup lattice with element
 products, so the two can be compared on small groups.
@@ -48,20 +48,17 @@ def _cayley_table(g: FiniteGroup):
     """``(table, inverse)`` over element indices: ``table[x][y]`` is the
     index of x·y and ``inverse[x]`` that of x⁻¹.
 
-    Only the right Cayley graph x -> x·a, a a generator, takes group
-    products: |G|·|A| of them.  Every other entry follows along witness
-    words by lookups, since y = y′·a gives x·y = (x·y′)·a.  That step is
-    associativity, which ``generate_monoid`` checked on every triple of
-    each group of at most ``EXHAUSTIVE_LIMIT`` = 200 elements; every
-    caller stops at ``NORMAL_LIMIT``, no larger, before compiling.
+    The right Cayley graph x -> x·a, a a generator, is the one the group's
+    closure kept.  Every other entry follows along witness words by
+    lookups, since y = y′·a gives x·y = (x·y′)·a.  That step is
+    associativity, which ``generate_monoid`` established for the group,
+    by a certified product rule or by Light's exact test.
     """
     elements = g.elements
-    index = g.index
-    mul = g.mul
     words = g.monoid.words
-    right = [[index[mul(x, a)] for a in g.generators] for x in elements]
+    right = g.monoid.right
     at_word = {words[x]: i for i, x in enumerate(elements)}
-    e = index[g.identity]
+    e = g.index[g.identity]
     # column y holds x·y for every x; breadth-first element order puts the
     # prefix y′ of y's word before y
     columns = [None] * len(elements)
@@ -96,10 +93,10 @@ def normal_subgroups(g: FiniteGroup):
     run over the compiled Cayley table: a class is the closure of one
     element under conjugation by the generators, its normal closure the
     subgroup the class generates, and the join of normal N and P the set
-    product N·P, the right closure of N under P∖N.  The group products are
-    the table's |G|·|A|; everything else is lookups.  The table relies on
-    associativity, which ``generate_monoid`` checked on every triple at
-    this size: raises :class:`SizeExceeded` above 200 elements.
+    product N·P, the right closure of N under P∖N.  The table is read off
+    the group's right Cayley graph, which relies on associativity (see
+    :func:`_cayley_table`); everything is lookups.  Raises
+    :class:`SizeExceeded` above ``NORMAL_LIMIT`` = 200 elements.
     """
     if len(g.elements) > NORMAL_LIMIT:
         raise SizeExceeded(

@@ -175,3 +175,22 @@ def test_srank_reports_a_doctored_result(capsys, monkeypatch, doctor, witness):
     assert code == 1
     assert trailer(out)["check.rank-computed"].startswith("fail;witness=")
     assert witness in out
+
+
+def test_analyze_rejects_a_non_associative_table_group(capsys, tmp_path):
+    # Z_211 with the entry 3 + 4 changed to 9 (0-based): the identity and
+    # every inverse survive, only associativity fails, on a few of the
+    # 211³ triples
+    n = 211
+    rows = []
+    for i in range(n):
+        row = [(i + j) % n for j in range(n)]
+        if i == 3:
+            row[4] = 9
+        rows.append(" ".join(str(v + 1) for v in row))
+    path = tmp_path / "bad.defs"
+    path.write_text(f"group G table {n}: " + "; ".join(rows) + "\n")
+    code, out, err = run(capsys, "analyze", "G", "--defs", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "associativity fails" in err

@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from eggbox import constructions
 from eggbox.constructions import (
     EmbeddingProblem,
     assemble_embedding,
@@ -73,6 +74,29 @@ def test_cover_ideal_is_rectangular_over_h():
     assert len(c.ideal.idempotents) == 25
     report = verify_cover(c)
     assert report.passed and not any(ch.status == "skipped" for ch in report.checks)
+
+
+def test_cover_products_are_linear_in_the_generators(monkeypatch):
+    count = [0]
+    make_rule = constructions.make_rowmono_mul
+
+    def counting_rule(entry_mul):
+        mul = make_rule(entry_mul)
+
+        def counted(x, y):
+            count[0] += 1
+            return mul(x, y)
+
+        counted.associative = mul.associative
+        return counted
+
+    monkeypatch.setattr(constructions, "make_rowmono_mul", counting_rule)
+    c = build_idempotent_cover(builtin_group("C3"), 6, mode="full")
+    m = c.monoid
+    assert (len(m), len(m.generators)) == (114, 2)
+    # closure, Green's left graph, the minimal ideal's idempotents and the
+    # Rees coordinates; an |M|² associativity table alone would be 12,996
+    assert count[0] <= 4 * len(m) * len(m.generators)
 
 
 def test_cover_cheap_mode_skips_enumeration():

@@ -12,7 +12,14 @@ from eggbox.core import (
     naive_omega_power,
     omega_power,
 )
-from eggbox.elements import compose_transformations, make_table_mul, table_element, transformation
+from eggbox.elements import (
+    compose_transformations,
+    make_rowmono_mul,
+    make_table_mul,
+    make_tuple_mul,
+    table_element,
+    transformation,
+)
 from eggbox.errors import (
     CapExceeded,
     InconsistentProduct,
@@ -68,6 +75,55 @@ def test_generate_monoid_needs_the_identity_to_fix_every_seed():
     mul = make_table_mul([[0, 0], [0, 1]], "z")
     with pytest.raises(InconsistentProduct):
         generate_monoid([table_element("z", 1)], mul, identity=table_element("z", 0))
+
+
+def test_generate_monoid_rejects_one_wrong_product_of_a_large_closure():
+    # T4 has 256 elements; the plain callable below is composition except on
+    # one pair of non-generators, so closure and Green never meet it and
+    # only the exact associativity test can
+    seeds = [transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))]
+    p, q = transformation([0, 1, 3, 1]), transformation([3, 2, 2, 0])
+    wrong = transformation([0, 0, 1, 2])
+    assert compose_transformations(p, q) != wrong
+
+    def rule(a, b):
+        return wrong if (a == p and b == q) else compose_transformations(a, b)
+
+    assert len(generate_monoid(seeds, compose_transformations)) == 256
+    with pytest.raises(InconsistentProduct, match="associativity fails"):
+        generate_monoid(seeds, rule)
+
+
+def test_a_table_rule_is_certified_by_a_closure_over_its_whole_table():
+    # Z4 under addition: the closure of 2 is {0, 2}, half the table
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    mul = make_table_mul(table, "z4")
+    zero = table_element("z4", 0)
+    assert mul.associative is False
+    generate_monoid([table_element("z4", 2)], mul, identity=zero)
+    assert mul.associative is False
+    bad_table = [row[:] for row in table]
+    bad_table[1][2] = 0  # 1 + 2 = 0 breaks (1 + 2) + 1 = 1 + (2 + 1)
+    bad = make_table_mul(bad_table, "z4")
+    with pytest.raises(InconsistentProduct):
+        generate_monoid([table_element("z4", 1)], bad, identity=zero)
+    assert bad.associative is False
+    m = generate_monoid([table_element("z4", 1)], mul, identity=zero)
+    assert len(m) == 4 and mul.associative is True
+
+
+def test_product_rules_inherit_the_certificate_of_their_parts():
+    table = make_table_mul([[0, 1], [1, 0]], "z2")
+    assert compose_transformations.associative is True
+    assert make_rowmono_mul(compose_transformations).associative is True
+    assert make_rowmono_mul(make_rowmono_mul(compose_transformations)).associative is True
+    assert make_rowmono_mul(table).associative is False
+    assert make_rowmono_mul(lambda v, w: v).associative is False
+    assert make_tuple_mul((compose_transformations, compose_transformations)).associative is True
+    assert make_tuple_mul((compose_transformations, table)).associative is False
+    generate_monoid([table_element("z2", 1)], table, identity=table_element("z2", 0))
+    assert make_rowmono_mul(table).associative is True
+    assert make_tuple_mul((compose_transformations, table)).associative is True
 
 
 def test_closure_levels_do_not_depend_on_generator_order():

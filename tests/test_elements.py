@@ -148,6 +148,7 @@ def test_cover_multiplies_each_entry_pair_once(monkeypatch):
         def counted(v, w):
             calls.append((v, w))
             return entry_mul(v, w)
+        counted.associative = entry_mul.associative
         return make_rowmono_mul(counted)
 
     monkeypatch.setattr(constructions, "make_rowmono_mul", counting_rule)
