@@ -61,7 +61,6 @@ from .srank import check_rank_monotone, m_s, normal_subgroups, quotient_group, r
 from .wreath import (
     constant_wreath,
     is_faithful_on_min_ideal,
-    local_monoid,
     psi,
     rlm,
     schutz_faithful_quotient,
@@ -132,7 +131,6 @@ __all__ = [
     "is_simple",
     "build_idempotent_cover",
     "load_definitions",
-    "local_monoid",
     "m_s",
     "make_rowmono_mul",
     "make_table_mul",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .constructions import (
     CoverResult,
@@ -31,22 +31,15 @@ from .core import (
     direct_power,
     generate_monoid,
     is_isomorphic,
-    naive_omega_power,
     omega_power,
 )
 from .elements import compose_transformations, row_monomial, transformation
 from .errors import CapExceeded
-from .green import (
-    check_min_ideal_image,
-    green_counts_agree,
-    idempotent_generated,
-    is_simple,
-    minimal_ideal,
-    naive_minimal_ideal_elements,
-)
+from .green import check_min_ideal_image, idempotent_generated, is_simple, minimal_ideal
 from .groups import builtin_group
+from .oracles import green_counts_agree, naive_minimal_ideal_elements, naive_omega_power, naive_rank
 from .report import FAIL, PASS, SKIPPED, Check, ConstructionReport
-from .srank import check_rank_monotone, naive_rank, r_s
+from .srank import check_rank_monotone, r_s
 from .wreath import ConstantWreath, constant_wreath, psi, rlm
 
 PSI_GROUPS = ("1", "C2", "C3", "C4", "C2xC2", "S3")
@@ -269,8 +262,8 @@ def criterion_6(sols=None, covers=None) -> ConstructionReport:
         report.extend(sub, prefix=f"{key}-rho-")
     for name in COVER_GROUPS:
         c = covers[name]
-        _, onto = rlm(c.monoid, rees=c.rees)
-        sub = check_min_ideal_image(onto, source_ideal=c.ideal)
+        _, onto = rlm(c.monoid)
+        sub = check_min_ideal_image(onto)
         report.extend(sub, prefix=f"{name}-rlm-")
     return report
 
@@ -442,12 +435,6 @@ class AcceptanceOutcome:
     def __init__(self):
         self.reports: List[ConstructionReport] = []
         self.elapsed: Dict[str, float] = {}
-
-    def report_for(self, name: str) -> Optional[ConstructionReport]:
-        for r in self.reports:
-            if r.construction == name:
-                return r
-        return None
 
     @property
     def passed(self) -> bool:

@@ -22,7 +22,7 @@ from .constructions import (
     DEFAULT_CAP,
     WORD_SAMPLE,
 )
-from .core import FiniteGroup, underlying
+from .core import FiniteGroup
 from .defs import Definitions, load_definitions, write_cover_definition
 from .errors import (
     CapExceeded,
@@ -60,7 +60,7 @@ def _emit(report: ConstructionReport) -> int:
 
 def cmd_analyze(args) -> int:
     defs = _load(args)
-    m = underlying(defs.resolve_container(args.name))
+    m = defs.resolve_container(args.name)
     gs = green_structure(m)
     ideal = minimal_ideal(m)
     e = ideal.idempotents[0]
@@ -108,11 +108,11 @@ def cmd_embed(args) -> int:
         decl = defs.problems[args.names[0]]
         base, alpha = decl["base"], decl["alpha"]
     else:
-        base = underlying(defs.resolve_container(args.names[0]))
+        base = defs.resolve_container(args.names[0])
         if args.names[1] not in defs.homs:
             raise UnknownObject(f"no hom named {args.names[1]!r}")
         alpha = defs.homs[args.names[1]]
-    prob = EmbeddingProblem(alpha, prepare_base(underlying(base)))
+    prob = EmbeddingProblem(alpha, prepare_base(base))
     sol = solve_embedding(prob, p_override=args.prime, cap=args.cap)
     sys.stdout.write(sol.summary() + "\n")
     report = verify_embedding(sol, sample=args.sample, seed=args.seed)

@@ -29,7 +29,6 @@ from .core import (
     generate_monoid,
     is_isomorphic,
     omega_power,
-    underlying,
 )
 from .elements import (
     Element,
@@ -148,11 +147,11 @@ class CoverResult:
 
     def __repr__(self):
         size = len(self.monoid.elements) if self.monoid is not None else "?"
-        return f"CoverResult({underlying(self.group).name}, n={self.n}, {self.mode}, {size} elements)"
+        return f"CoverResult({self.group.name}, n={self.n}, {self.mode}, {size} elements)"
 
 
 def cover_modulus_bound(h) -> int:
-    return max(2, 2 * len(underlying(h).elements) - 1)
+    return max(2, 2 * len(h.elements) - 1)
 
 
 def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
@@ -170,11 +169,10 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     bound = cover_modulus_bound(h)
     if n < bound:
         raise NTooSmall(n, bound)
-    hm = underlying(h)
-    ident = hm.identity
-    order = len(hm.elements)
+    ident = h.identity
+    order = len(h.elements)
     x = row_monomial(((i + 1) % n, ident) for i in range(n))
-    y = row_monomial((0, hm.elements[i] if i < order else ident) for i in range(n))
+    y = row_monomial((0, h.elements[i] if i < order else ident) for i in range(n))
     mul = make_rowmono_mul(h.mul)
     if mode == "auto":
         mode = "full" if n + order ** n * n + 1 <= cap else "cheap"
@@ -183,13 +181,13 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     monoid = generate_monoid(
         [x, y], mul, cap=cap,
         identity=identity_row_monomial(n, ident),
-        name=f"cover[{hm.name},{n}]",
+        name=f"cover[{h.name},{n}]",
     )
     ideal = minimal_ideal(monoid)
     rees = rees_coordinates(monoid, ideal, y)
     theta_map = {z: z.data[0][1] for z in rees.group.elements}
     theta = MonoidHom(rees.group, h, theta_map)
-    if len(set(theta_map.values())) != len(hm.elements):
+    if len(set(theta_map.values())) != len(h.elements):
         raise InternalInconsistency("first-row entries do not biject the maximal subgroup with H")
     return CoverResult(h, n, "full", x, y, mul, monoid, ideal, rees, theta)
 
@@ -201,16 +199,16 @@ def cover_idempotent_witnesses(c: CoverResult):
     (y, x^j y x^(n-j), y).  Each factor is idempotent, each product is a
     constant matrix whose first-row entry is the key.
     """
-    hm = underlying(c.group)
+    h = c.group
     mul = c.mul
     n = c.n
-    xp = [identity_row_monomial(n, hm.identity)]
+    xp = [identity_row_monomial(n, h.identity)]
     for _ in range(n):
         xp.append(mul(xp[-1], c.x))
-    out = {hm.elements[0]: (c.y,)}
-    for j in range(1, len(hm.elements)):
+    out = {h.elements[0]: (c.y,)}
+    for j in range(1, len(h.elements)):
         e_j = mul(mul(xp[j], c.y), xp[n - j])
-        out[hm.elements[j]] = (c.y, e_j, c.y)
+        out[h.elements[j]] = (c.y, e_j, c.y)
     return out
 
 
@@ -312,20 +310,20 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
     matrix products and skips the enumeration-bound ones.  No check
     samples; ``seed`` is unused and kept for callers that pass it.
     """
-    hm = underlying(c.group)
+    h = c.group
     mul = c.mul
     n = c.n
     mode = mode or c.mode
     report = ConstructionReport(
         "cover",
         params=[
-            ("group", hm.name),
+            ("group", h.name),
             ("n", n),
             ("mode", mode),
             ("size", len(c.monoid.elements) if c.monoid is not None else "-"),
         ],
     )
-    ident = identity_row_monomial(n, hm.identity)
+    ident = identity_row_monomial(n, h.identity)
     cur = c.x
     k = 1
     while cur != ident and k <= n:
@@ -337,10 +335,10 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
     wcheck, vals = _check_witness_products(c)
     report.add(wcheck)
     # in a finite group the right closure of 1 is the subgroup generated
-    generated = closure([hm.identity], vals, hm.mul)[1]
+    generated = closure([h.identity], vals, h.mul)[1]
     report.add(Check("witness-images-generate",
-                     PASS if set(generated) == set(hm.elements) else FAIL,
-                     f"{len(generated)} of {len(hm.elements)} elements"))
+                     PASS if set(generated) == set(h.elements) else FAIL,
+                     f"{len(generated)} of {len(h.elements)} elements"))
 
     if mode == "cheap" or c.monoid is None:
         for name in ("max-subgroup-iso", "ideal-is-constants", "ideal-simple",
@@ -349,9 +347,9 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
         return report
 
     theta_vals = set(c.theta.map.values())
-    bij = len(theta_vals) == len(c.theta.map) == len(hm.elements)
+    bij = len(theta_vals) == len(c.theta.map) == len(h.elements)
     report.add(Check("max-subgroup-iso", PASS if bij else FAIL,
-                     f"|G_y|={len(c.rees.group.elements)}, |H|={len(hm.elements)}"))
+                     f"|G_y|={len(c.rees.group.elements)}, |H|={len(h.elements)}"))
 
     const = {u for u in c.monoid.elements if _constant_col(u) is not None}
     report.add(Check("ideal-is-constants", PASS if const == c.ideal.member else FAIL,
@@ -418,40 +416,39 @@ def prepare_base(m) -> PreparedBase:
     f = omega(omega(g1) eval(w) omega(g2)) absorbs omega(g1) on the left
     and omega(g2) on the right.
     """
-    mm = underlying(m)
-    if len(mm.generators) < 2:
+    if len(m.generators) < 2:
         raise TooFewGenerators(
-            f"{mm.name} lists {len(mm.generators)} generators, the construction needs two")
-    original = mm
+            f"{m.name} lists {len(m.generators)} generators, the construction needs two")
+    original = m
     to_faithful = None
-    if not is_faithful_on_min_ideal(mm):
-        mm, to_faithful = schutz_faithful_quotient(mm)
-    ideal = minimal_ideal(mm)
+    if not is_faithful_on_min_ideal(m):
+        m, to_faithful = schutz_faithful_quotient(m)
+    ideal = minimal_ideal(m)
     w0 = None
     for xel in ideal.elements:
-        cand = mm.words[xel]
+        cand = m.words[xel]
         if w0 is None or (len(cand), cand) < (len(w0), w0):
             w0 = cand
-    word = tuple(w0) + tuple(range(len(mm.generators)))
-    z = mm.eval_word(word)
+    word = tuple(w0) + tuple(range(len(m.generators)))
+    z = m.eval_word(word)
     if z not in ideal.member:
         raise InternalInconsistency("the full-support word left the minimal ideal")
-    mul = mm.mul
-    og1 = omega_power(mm, mm.generators[0])
-    og2 = omega_power(mm, mm.generators[1])
-    f = omega_power(mm, mul(mul(og1, z), og2))
+    mul = m.mul
+    og1 = omega_power(m, m.generators[0])
+    og2 = omega_power(m, m.generators[1])
+    f = omega_power(m, mul(mul(og1, z), og2))
     if f not in ideal.member or mul(f, f) != f:
         raise InternalInconsistency("anchored element is not a kernel idempotent")
     if mul(og1, f) != f or mul(f, og2) != f:
         raise InternalInconsistency("anchored idempotent does not absorb the generator omegas")
-    rc = rees_coordinates(mm, ideal, f)
-    schutz = schutz_rep(mm, rc)
-    matrices = tuple(schutz.map[g] for g in mm.generators)
+    rc = rees_coordinates(m, ideal, f)
+    schutz = schutz_rep(m, rc)
+    matrices = tuple(schutz.map[g] for g in m.generators)
     m_f = schutz.map[f]
     for col, val in m_f.data:
         if col != 0 or val != rc.group.identity:
             raise InternalInconsistency("matrix of f is not the first-column identity")
-    return PreparedBase(mm, original, to_faithful, ideal, rc, rc.group, schutz,
+    return PreparedBase(m, original, to_faithful, ideal, rc, rc.group, schutz,
                         matrices, m_f, f, rc.n_b, word)
 
 
@@ -474,21 +471,21 @@ class EmbeddingProblem:
             raise NotWellDefined("the extension map must join finite groups")
         if not alpha.is_surjective():
             raise NonSurjectiveAlpha(
-                f"alpha does not cover {underlying(alpha.target).name}")
+                f"alpha does not cover {alpha.target.name}")
         self.alpha = alpha
         self.base = base
         self.h = alpha.source
         iso = is_isomorphic(alpha.target, base.group)
         if iso is None:
             raise KMismatch(
-                f"codomain {underlying(alpha.target).name} (order {len(underlying(alpha.target).elements)}) "
+                f"codomain {alpha.target.name} (order {len(alpha.target.elements)}) "
                 f"is not isomorphic to the base subgroup {base.group.name} "
                 f"(order {len(base.group.elements)})")
         self.iso = iso
         self.alpha_hat = alpha.then(iso)
 
     def __repr__(self):
-        return (f"EmbeddingProblem({underlying(self.h).name} ->> {self.base.group.name} "
+        return (f"EmbeddingProblem({self.h.name} ->> {self.base.group.name} "
                 f"over {self.base.monoid.name})")
 
 
@@ -501,7 +498,7 @@ def _kernel_diagonals(prob: EmbeddingProblem):
     """ker alpha_hat in H's element order, and the diagonal b×b matrices
     over it in lexicographic order."""
     k_ident = prob.base.group.identity
-    n_elements = tuple(x for x in underlying(prob.h).elements if prob.alpha_hat.map[x] == k_ident)
+    n_elements = tuple(x for x in prob.h.elements if prob.alpha_hat.map[x] == k_ident)
     nbt = tuple(row_monomial(enumerate(t)) for t in iter_product(n_elements, repeat=prob.base.b))
     return n_elements, nbt
 
@@ -548,7 +545,7 @@ class EmbeddingSolution:
         return acc
 
     def _block_identity(self) -> Element:
-        inner = identity_row_monomial(self.problem.base.b, underlying(self.problem.h).identity)
+        inner = identity_row_monomial(self.problem.base.b, self.problem.h.identity)
         return row_monomial((i, inner) for i in range(self.p))
 
 
@@ -566,7 +563,7 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
     diagonals in lexicographic order.
     """
     base = prob.base
-    h = underlying(prob.h)
+    h = prob.h
     ahat = prob.alpha_hat
     n_elements, nbt = _kernel_diagonals(prob)
     sigma = canonical_section(ahat)
@@ -616,7 +613,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     subgroup at e' is generated from its known coset sweep instead.
     """
     base = prob.base
-    h = underlying(prob.h)
+    h = prob.h
     ahat = prob.alpha_hat
     raw = tuple(tilde_x)
     if len(raw) != len(base.matrices):
@@ -765,7 +762,7 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
 def _check_sampled_words(sol: EmbeddingSolution, words):
     """Single-column and preimage-coverage checks over sampled words."""
     base = sol.problem.base
-    h = underlying(sol.problem.h)
+    h = sol.problem.h
     ahat = sol.problem.alpha_hat
     kmul = make_rowmono_mul(base.group.mul)
     preimages = {}
@@ -818,7 +815,7 @@ def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
     form, recording the downgrade in the check witness.
     """
     base = sol.problem.base
-    h = underlying(sol.problem.h)
+    h = sol.problem.h
     ahat = sol.problem.alpha_hat
     report = ConstructionReport(
         "embed",

@@ -2,7 +2,10 @@
 
 A :class:`FiniteMonoid` is a fully enumerated monoid: a tuple of elements
 with the identity first, a product function, a distinguished generator list,
-and for every element a witness word over the generators.
+and for every element a witness word over the generators.  A
+:class:`FiniteGroup` is a finite monoid whose elements are all units: it
+is passed wherever a monoid is expected and adds only inverses and
+element orders.
 
 Every generated set in the library comes from one breadth-first walk,
 :func:`closure`: monoids (:func:`generate_monoid`, and
@@ -66,8 +69,8 @@ class FiniteMonoid:
         "index",
         "words",
         "right",
-        "_idempotents",
         "_green",
+        "_ideal",
     )
 
     def __init__(self, name, elements, mul, identity, generators, words, right=None):
@@ -81,8 +84,8 @@ class FiniteMonoid:
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
         self.right = right
-        self._idempotents = None
         self._green = None
+        self._ideal = None
 
     def __len__(self):
         return len(self.elements)
@@ -99,21 +102,6 @@ class FiniteMonoid:
         for gi in word:
             acc = self.mul(acc, self.generators[gi])
         return acc
-
-    def power(self, x: Element, k: int) -> Element:
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
-    def is_idempotent(self, x: Element) -> bool:
-        return self.mul(x, x) == x
-
-    def idempotents(self):
-        if self._idempotents is None:
-            self._idempotents = tuple(x for x in self.elements if self.is_idempotent(x))
-        return self._idempotents
-
 
 
 def _check_identity(mul, identity, elements):
@@ -296,26 +284,15 @@ def omega_power(m: FiniteMonoid, x: Element) -> Element:
     raise InconsistentProduct(f"no idempotent power of {x!r} found")
 
 
-def naive_omega_power(m: FiniteMonoid, x: Element) -> Element:
-    """Scan oracle: the unique idempotent among x, x^2, ..., x^|M|."""
-    powers = []
-    p = x
-    for _ in range(len(m.elements)):
-        powers.append(p)
-        p = m.mul(p, x)
-    idems = {q for q in powers if m.mul(q, q) == q}
-    if len(idems) != 1:
-        raise InconsistentProduct(f"{len(idems)} idempotent powers of {x!r}")
-    return idems.pop()
+class FiniteGroup(FiniteMonoid):
+    """A :class:`FiniteMonoid` whose elements are all units, with their
+    inverses.  It shares every field of the monoid it is made from."""
 
-
-class FiniteGroup:
-    """A finite group wrapping a :class:`FiniteMonoid` plus an inverse map."""
-
-    __slots__ = ("monoid", "_inverse", "_orders")
+    __slots__ = ("_inverse", "_orders")
 
     def __init__(self, monoid: FiniteMonoid, inverse: dict):
-        self.monoid = monoid
+        for slot in FiniteMonoid.__slots__:
+            setattr(self, slot, getattr(monoid, slot))
         self._inverse = inverse
         self._orders = None
 
@@ -332,36 +309,6 @@ class FiniteGroup:
                 raise InconsistentProduct(f"{x!r} has no two-sided inverse")
             inverse[x] = inv
         return cls(m, inverse)
-
-    @property
-    def name(self):
-        return self.monoid.name
-
-    @property
-    def elements(self):
-        return self.monoid.elements
-
-    @property
-    def identity(self):
-        return self.monoid.identity
-
-    @property
-    def mul(self):
-        return self.monoid.mul
-
-    @property
-    def generators(self):
-        return self.monoid.generators
-
-    @property
-    def index(self):
-        return self.monoid.index
-
-    def __len__(self):
-        return len(self.monoid.elements)
-
-    def __contains__(self, x):
-        return x in self.monoid.index
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order {len(self)})"
@@ -385,7 +332,8 @@ class FiniteGroup:
 
 
 def underlying(obj) -> FiniteMonoid:
-    return obj.monoid if isinstance(obj, FiniteGroup) else obj
+    """The monoid of ``obj``, which is ``obj`` itself: a group is a monoid."""
+    return obj
 
 
 class MonoidHom:
@@ -402,8 +350,8 @@ class MonoidHom:
             self._validate()
 
     def _validate(self):
-        src = underlying(self.source)
-        tgt = underlying(self.target)
+        src = self.source
+        tgt = self.target
         for x in src.elements:
             y = self.map.get(x)
             if y is None:
@@ -424,54 +372,47 @@ class MonoidHom:
 
     @classmethod
     def from_generator_images(cls, source, target, images):
-        """Extend generator images along witness words.
+        """Extend generator images along witness words, then validate.
 
-        Raises :class:`NotWellDefined` when two words for one element force
-        different images.  Checking against ``images`` fails equal generators
-        given different images, and does all that :meth:`_validate` would.
+        A generator's word fixes its image, so a generator listed twice
+        with two images raises :class:`NotWellDefined`, as does any map
+        that :meth:`_validate` rejects.
         """
-        src = underlying(source)
-        tgt = underlying(target)
         images = list(images)
-        if len(images) != len(src.generators):
+        if len(images) != len(source.generators):
             raise NotWellDefined(
-                f"{len(images)} images for {len(src.generators)} generators"
+                f"{len(images)} images for {len(source.generators)} generators"
             )
         for y in images:
-            if y not in tgt.index:
+            if y not in target.index:
                 raise NotWellDefined(f"generator image {y!r} is outside the target")
         mapping = {}
-        for x in src.elements:
-            acc = tgt.identity
-            for gi in src.words[x]:
-                acc = tgt.mul(acc, images[gi])
+        for x in source.elements:
+            acc = target.identity
+            for gi in source.words[x]:
+                acc = target.mul(acc, images[gi])
             mapping[x] = acc
-        els = src.elements
-        for x, row in zip(els, src.right):
-            fx = mapping[x]
-            for y, xg in zip(images, row):
-                if mapping[els[xg]] != tgt.mul(fx, y):
-                    raise NotWellDefined(f"two words for {els[xg]!r} yield different images")
-        return cls(source, target, mapping, check=False)
+        for t, (g, y) in enumerate(zip(source.generators, images)):
+            if mapping[g] != y:
+                raise NotWellDefined(f"generator {t} is given the image {y!r}, "
+                                     f"its word the image {mapping[g]!r}")
+        return cls(source, target, mapping)
 
     def __call__(self, x: Element) -> Element:
         return self.map[x]
 
     def __repr__(self):
-        s = underlying(self.source)
-        t = underlying(self.target)
-        return f"MonoidHom({s.name!r} -> {t.name!r})"
+        return f"MonoidHom({self.source.name!r} -> {self.target.name!r})"
 
     def image_elements(self):
         """Distinct image elements in target order."""
         if self._image is None:
-            tgt = underlying(self.target)
             seen = set(self.map.values())
-            self._image = tuple(x for x in tgt.elements if x in seen)
+            self._image = tuple(x for x in self.target.elements if x in seen)
         return self._image
 
     def is_surjective(self) -> bool:
-        return len(self.image_elements()) == len(underlying(self.target).elements)
+        return len(self.image_elements()) == len(self.target.elements)
 
     def then(self, other: "MonoidHom") -> "MonoidHom":
         """Composite map: first self, then other."""
@@ -480,8 +421,8 @@ class MonoidHom:
 
     def kernel(self):
         """Preimage of the target identity, as a frozenset."""
-        tgt = underlying(self.target)
-        return frozenset(x for x, y in self.map.items() if y == tgt.identity)
+        one = self.target.identity
+        return frozenset(x for x, y in self.map.items() if y == one)
 
 
 class Section:
@@ -505,19 +446,17 @@ def canonical_section(alpha: MonoidHom) -> Section:
     """
     if not alpha.is_surjective():
         raise NotSurjective("cannot take a section of a non-surjective map")
-    src = underlying(alpha.source)
-    tgt = underlying(alpha.target)
     mapping = {}
-    for h in src.elements:
+    for h in alpha.source.elements:
         k = alpha.map[h]
         if k not in mapping:
             mapping[k] = h
-    if mapping[tgt.identity] != src.identity:
+    if mapping[alpha.target.identity] != alpha.source.identity:
         raise NotWellDefined("identity is not the first preimage of the identity")
     for k, h in mapping.items():
         if alpha.map[h] != k:
             raise NotWellDefined("section disagrees with the map")
-    return Section(alpha, {k: mapping[k] for k in tgt.elements})
+    return Section(alpha, {k: mapping[k] for k in alpha.target.elements})
 
 
 def small_generating_set(g: FiniteGroup):
@@ -605,7 +544,7 @@ def product_group(groups, name: Optional[str] = None) -> FiniteGroup:
             parts = [h.identity for h in groups]
             parts[i] = gen
             seeds.append(tuple_element(parts))
-    label = name or "x".join(underlying(g).name for g in groups)
+    label = name or "x".join(g.name for g in groups)
     pm = generate_monoid(seeds, muls, identity=ident, name=label)
     return FiniteGroup.from_monoid(pm)
 
@@ -615,7 +554,7 @@ def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
         ident = tuple_element(())
         pm = generate_monoid([], make_tuple_mul(()), identity=ident, name=name or "1")
         return FiniteGroup.from_monoid(pm)
-    return product_group([g] * k, name=name or f"{underlying(g).name}^{k}")
+    return product_group([g] * k, name=name or f"{g.name}^{k}")
 
 
 class SubSemigroup:

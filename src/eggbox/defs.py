@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import FiniteGroup, MonoidHom, generate_monoid, underlying
+from .core import FiniteGroup, MonoidHom, generate_monoid
 from .elements import (
     Element,
     compose_transformations,
@@ -121,10 +121,9 @@ def _parse_images(text: str, lineno: int, col: int, degree: Optional[int] = None
     return transformation(t - 1 for t in images)
 
 
-def _element_expr(text: str, obj, lineno: int, col: int) -> Element:
-    """Resolve ``#i``, cycle notation or [images] inside ``obj``."""
+def _element_expr(text: str, m, lineno: int, col: int) -> Element:
+    """Resolve ``#i``, cycle notation or [images] inside the monoid ``m``."""
     body = text.strip()
-    m = underlying(obj)
     if not body:
         _fail(lineno, col, "empty element expression")
     if body.startswith("#"):
@@ -266,7 +265,6 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
             entry = defs.resolve_container(gname)
         except UnknownObject as ex:
             _fail(lineno, 1, str(ex))
-        em = underlying(entry)
         gens = []
         for chunk, off in _split_top(payload):
             rows = chunk.split(";")
@@ -285,8 +283,8 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
                     _fail(lineno, pcol + off, f"column {col} out of range 1..{k}")
                 built.append((col - 1, _element_expr(parts[1], entry, lineno, pcol + off)))
             gens.append(row_monomial(built))
-        mul = make_rowmono_mul(em.mul)
-        monoid = generate_monoid(gens, mul, identity=identity_row_monomial(k, em.identity),
+        mul = make_rowmono_mul(entry.mul)
+        monoid = generate_monoid(gens, mul, identity=identity_row_monomial(k, entry.identity),
                                  name=name)
         _declare(defs, "monoids", name, monoid, lineno)
         return
@@ -304,13 +302,12 @@ def _parse_hom(defs: Definitions, line: str, lineno: int):
         target = defs.resolve_container(bname)
     except UnknownObject as ex:
         _fail(lineno, 1, str(ex))
-    sm = underlying(source)
     images = []
     for chunk, off in _split_top(payload):
         images.append(_element_expr(chunk, target, lineno, pcol + off))
-    if len(images) != len(sm.generators):
+    if len(images) != len(source.generators):
         _fail(lineno, pcol,
-              f"{len(images)} images for {len(sm.generators)} generators of {sm.name}")
+              f"{len(images)} images for {len(source.generators)} generators of {source.name}")
     hom = MonoidHom.from_generator_images(source, target, images)
     _declare(defs, "homs", name, hom, lineno)
 
@@ -342,22 +339,20 @@ def _sanitize(name: str) -> str:
 
 def group_as_lines(g, name: Optional[str] = None):
     """Declaration lines for a group, as an explicit table in element order."""
-    gm = underlying(g)
-    name = name or _sanitize(gm.name)
-    k = len(gm.elements)
+    name = name or _sanitize(g.name)
+    k = len(g.elements)
     rows = []
-    for a in gm.elements:
-        rows.append(" ".join(str(gm.index[gm.mul(a, b)] + 1) for b in gm.elements))
+    for a in g.elements:
+        rows.append(" ".join(str(g.index[g.mul(a, b)] + 1) for b in g.elements))
     return name, [f"group {name} table {k}: " + "; ".join(rows)]
 
 
 def cover_as_lines(c):
     """Declaration lines for a cover's generators over its entry group."""
-    hm = underlying(c.group)
     gname, lines = group_as_lines(c.group)
     def fmt(mat):
-        return "; ".join(f"{col + 1} #{hm.index[v] + 1}" for col, v in mat.data)
-    mname = _sanitize(c.monoid.name if c.monoid is not None else f"cover_{hm.name}_{c.n}")
+        return "; ".join(f"{col + 1} #{c.group.index[v] + 1}" for col, v in mat.data)
+    mname = _sanitize(c.monoid.name if c.monoid is not None else f"cover_{c.group.name}_{c.n}")
     lines.append(
         f"monoid {mname} rowmono {c.n} over {gname}: {fmt(c.x)}, {fmt(c.y)}")
     return mname, lines
@@ -365,10 +360,9 @@ def cover_as_lines(c):
 
 def write_cover_definition(c, path: str) -> str:
     """Write a reloadable definition of the cover; returns the monoid name."""
-    hm = underlying(c.group)
     mname, lines = cover_as_lines(c)
     header = [
-        f"# idempotent cover of {hm.name} with modulus {c.n}",
+        f"# idempotent cover of {c.group.name} with modulus {c.n}",
         f"# reload and analyze to reproduce the construction",
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -51,10 +51,6 @@ class NotRowMonomial(EggboxError):
     """Malformed row-monomial matrix input."""
 
 
-class SizeMismatch(EggboxError):
-    """Matrix sizes or entry monoids do not match."""
-
-
 class NotInLocalMonoid(EggboxError):
     """The element does not belong to the local monoid eSe."""
 

@@ -29,7 +29,6 @@ from .core import (
     closure,
     generate_monoid,
     omega_power,
-    underlying,
 )
 from .elements import Element
 from .errors import (
@@ -74,14 +73,6 @@ class GreenStructure:
         self.j_sinks = j_sinks
         self.right = right
         self.left = left
-
-    def class_counts(self):
-        return (
-            len(self.r_classes),
-            len(self.l_classes),
-            len(self.j_classes),
-            len(self.h_classes),
-        )
 
 
 def _group_classes(elements, value_of):
@@ -212,13 +203,15 @@ class MinimalIdeal:
 
 
 def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
-    """The unique minimal two-sided ideal.
+    """The unique minimal two-sided ideal (cached on M).
 
     Green's classification already tested every J-class for closure under
     the generators on both sides, edge by edge of the Cayley graphs.  A
     closed class is an ideal, and one is reachable from every element, so
     exactly one closed class must exist and it is MxM for each of its x.
     """
+    if m._ideal is not None:
+        return m._ideal
     gs = green_structure(m)
     if len(gs.j_sinks) != 1:
         raise InternalInconsistency(f"{len(gs.j_sinks)} J-classes are closed under the generators; "
@@ -228,7 +221,8 @@ def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
     idem = [x for x in members if mul(x, x) == x]
     if not idem:
         raise NoIdempotents("minimal ideal of a finite monoid must contain an idempotent")
-    return MinimalIdeal(m, members, idem)
+    m._ideal = MinimalIdeal(m, members, idem)
+    return m._ideal
 
 
 def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[MinimalIdeal] = None) -> FiniteGroup:
@@ -438,17 +432,6 @@ def is_simple(s: SubSemigroup) -> bool:
     return all(comp[w] == comp[v] for v, ws in enumerate(succ) for w in ws)
 
 
-def naive_is_simple(s: SubSemigroup) -> bool:
-    """Cubic oracle: materialize every SxS by direct triple products."""
-    els = s.elements
-    mul = s.monoid.mul
-    full = set(els)
-    for x in els:
-        if {mul(mul(u, x), v) for u in els for v in els} != full:
-            return False
-    return True
-
-
 def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     """The subsemigroup generated by the idempotents of S, which it records
     as its generators."""
@@ -460,25 +443,22 @@ def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     return SubSemigroup(s.monoid, [x for level in levels for x in level], generators=idem)
 
 
-def check_min_ideal_image(phi: MonoidHom, source_ideal: Optional[MinimalIdeal] = None) -> ConstructionReport:
+def check_min_ideal_image(phi: MonoidHom) -> ConstructionReport:
     """Verify that a surjection carries the minimal ideal onto the minimal
     ideal and each kernel maximal subgroup onto its counterpart.
 
-    Callers that already hold the source's minimal ideal can pass it in.
     Each source subgroup is read off Green's structure as an H-class, with
     no products, however many idempotents the ideal holds.
     """
     if not phi.is_surjective():
         raise NotSurjective("minimal ideal image check needs a surjective map")
-    src = underlying(phi.source)
-    tgt = underlying(phi.target)
-    ideal_s = source_ideal if source_ideal is not None else minimal_ideal(src)
-    ideal_t = minimal_ideal(tgt)
+    ideal_s = minimal_ideal(phi.source)
+    ideal_t = minimal_ideal(phi.target)
     report = ConstructionReport(
         "min-ideal-image",
         params=[
-            ("source", src.name),
-            ("target", tgt.name),
+            ("source", phi.source.name),
+            ("target", phi.target.name),
             ("ideal", len(ideal_s)),
             ("target_ideal", len(ideal_t)),
         ],
@@ -493,13 +473,13 @@ def check_min_ideal_image(phi: MonoidHom, source_ideal: Optional[MinimalIdeal] =
         report.add(Check("ideal-image", "fail", f"extra={extra[:3]!r} missing={missing[:3]!r}"))
 
     bad = None
-    gs = green_structure(src)
+    gs = green_structure(phi.source)
     target_groups = {}  # many source idempotents share one image
     for e in ideal_s.idempotents:
         image_ge = {phi(x) for x in gs.h_classes[gs.h_class_of[e]]}
         f = phi(e)
         if f not in target_groups:
-            target_groups[f] = set(maximal_subgroup(tgt, f, ideal=ideal_t).elements)
+            target_groups[f] = set(maximal_subgroup(phi.target, f, ideal=ideal_t).elements)
         if image_ge != target_groups[f]:
             bad = e
             break
@@ -508,62 +488,3 @@ def check_min_ideal_image(phi: MonoidHom, source_ideal: Optional[MinimalIdeal] =
     else:
         report.add(Check("subgroup-image", "fail", f"at idempotent {bad!r}"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# naive oracles, computed per element with no class sharing
-
-
-def naive_green_partitions(m: FiniteMonoid):
-    """Partitions as frozensets of frozensets, from per-element ideals."""
-    els = m.elements
-    mul = m.mul
-    rid = {x: frozenset(mul(x, u) for u in els) for x in els}
-    lid = {x: frozenset(mul(u, x) for u in els) for x in els}
-    jid = {}
-    for x in els:
-        two = set()
-        for u in lid[x]:
-            two |= rid[u]
-        jid[x] = frozenset(two)
-
-    def partition(key):
-        groups = {}
-        for x in els:
-            groups.setdefault(key(x), []).append(x)
-        return frozenset(frozenset(g) for g in groups.values())
-
-    return {
-        "R": partition(rid.__getitem__),
-        "L": partition(lid.__getitem__),
-        "J": partition(jid.__getitem__),
-        "H": partition(lambda x: (rid[x], lid[x])),
-    }
-
-
-def naive_minimal_ideal_elements(m: FiniteMonoid) -> frozenset:
-    """Intersection of all principal two-sided ideals."""
-    els = m.elements
-    mul = m.mul
-    rid = {x: frozenset(mul(x, u) for u in els) for x in els}
-    lid = {x: frozenset(mul(u, x) for u in els) for x in els}
-    kernel = None
-    for x in els:
-        two = set()
-        for u in lid[x]:
-            two |= rid[u]
-        kernel = two if kernel is None else (kernel & two)
-    return frozenset(kernel)
-
-
-def green_counts_agree(m: FiniteMonoid) -> bool:
-    """Compare the fast classification against the naive oracle classwise."""
-    gs = green_structure(m)
-    oracle = naive_green_partitions(m)
-    fast = {
-        "R": frozenset(frozenset(c) for c in gs.r_classes),
-        "L": frozenset(frozenset(c) for c in gs.l_classes),
-        "J": frozenset(frozenset(c) for c in gs.j_classes),
-        "H": frozenset(frozenset(c) for c in gs.h_classes),
-    }
-    return fast == oracle

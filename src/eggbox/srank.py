@@ -14,8 +14,9 @@ Filling the table from the generator edges relies on associativity, which
 :func:`~eggbox.core.generate_monoid` establishes exactly for every group
 it builds.  Nothing keeps a table between calls.
 
-A deliberately naive oracle walks the full subgroup lattice with element
-products, so the two can be compared on small groups.
+A deliberately naive oracle in :mod:`eggbox.oracles` walks the full
+subgroup lattice with element products, so the two can be compared on
+small groups.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
     direct_power,
     is_isomorphic,
     monoid_from_elements,
-    underlying,
 )
 from .elements import make_table_mul, table_element
 from .errors import (
@@ -55,8 +55,8 @@ def _cayley_table(g: FiniteGroup):
     by a certified product rule or by Light's exact test.
     """
     elements = g.elements
-    words = g.monoid.words
-    right = g.monoid.right
+    words = g.words
+    right = g.right
     at_word = {words[x]: i for i, x in enumerate(elements)}
     e = g.index[g.identity]
     # column y holds x·y for every x; breadth-first element order puts the
@@ -179,7 +179,7 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
 def check_simple(s: FiniteGroup) -> None:
     """Raise NotSimple unless S has exactly the two trivial normal subgroups."""
     if len(normal_subgroups(s)) != 2:
-        raise NotSimple(f"{underlying(s).name} is not a (nontrivial) simple group")
+        raise NotSimple(f"{s.name} is not a (nontrivial) simple group")
 
 
 def kernels_with_quotient(g: FiniteGroup, s: FiniteGroup):
@@ -223,8 +223,7 @@ class SRankResult:
         self.iso = iso
 
     def __repr__(self):
-        return (f"SRankResult(r_{underlying(self.simple).name}"
-                f"({underlying(self.group).name}) = {self.rank})")
+        return f"SRankResult(r_{self.simple.name}({self.group.name}) = {self.rank})"
 
 
 def r_s(g: FiniteGroup, s: FiniteGroup) -> SRankResult:
@@ -299,9 +298,9 @@ def check_rank_monotone(phi: MonoidHom, s: FiniteGroup) -> ConstructionReport:
     report = ConstructionReport(
         "rank-monotone",
         params=[
-            ("source", underlying(src).name),
-            ("target", underlying(tgt).name),
-            ("simple", underlying(s).name),
+            ("source", src.name),
+            ("target", tgt.name),
+            ("simple", s.name),
             ("source_rank", r_src),
             ("target_rank", r_tgt),
         ],
@@ -310,74 +309,3 @@ def check_rank_monotone(phi: MonoidHom, s: FiniteGroup) -> ConstructionReport:
                      f"{r_tgt} <= {r_src}" if r_tgt <= r_src else
                      f"target rank {r_tgt} exceeds source rank {r_src}"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# naive oracle: full subgroup lattice, per-element normality, brute factor
-
-
-def _subgroup_closure(g: FiniteGroup, seed) -> frozenset:
-    """Subgroup generated by ``seed``, as a frozenset: the closure of 1
-    under right multiplication by the seed is product-closed and finite,
-    hence a subgroup."""
-    return frozenset(closure([g.identity], [x for x in seed if x != g.identity], g.mul)[1])
-
-
-def naive_all_subgroups(g: FiniteGroup):
-    """Every subgroup, by breadth-first extension of known subgroups."""
-    triv = frozenset({g.identity})
-    found = {triv}
-    frontier = [triv]
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for x in g.elements:
-                if x in sub:
-                    continue
-                bigger = _subgroup_closure(g, sorted(sub | {x}, key=g.index.__getitem__))
-                if bigger not in found:
-                    found.add(bigger)
-                    fresh.append(bigger)
-        frontier = fresh
-    key = lambda n: (len(n), sorted(g.index[x] for x in n))
-    return sorted(found, key=key)
-
-
-def naive_is_normal(g: FiniteGroup, sub) -> bool:
-    mul = g.mul
-    member = set(sub)
-    return all(
-        mul(mul(g.inverse(x), v), x) in member
-        for x in g.elements
-        for v in member
-    )
-
-
-def naive_rank(g: FiniteGroup, s: FiniteGroup) -> int:
-    """Oracle for r_s computed from the full subgroup lattice."""
-    check_simple(s)
-    normals = [n for n in naive_all_subgroups(g) if naive_is_normal(g, n)]
-    kernels = []
-    for n in normals:
-        if len(n) * len(s.elements) != len(g.elements):
-            continue
-        q, _ = quotient_group(g, n)
-        if is_isomorphic(q, s) is not None:
-            kernels.append(n)
-    if kernels:
-        inter = set(kernels[0])
-        for n in kernels[1:]:
-            inter &= n
-    else:
-        inter = set(g.elements)
-    q, _ = quotient_group(g, frozenset(inter))
-    k = 0
-    size = len(q.elements)
-    while size > 1:
-        if size % len(s.elements) != 0:
-            raise InternalInconsistency("naive quotient size is not a power of |S|")
-        size //= len(s.elements)
-        k += 1
-    if is_isomorphic(q, direct_power(s, k)) is None:
-        raise InternalInconsistency("naive quotient is not the expected direct power")
-    return k

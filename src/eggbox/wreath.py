@@ -18,7 +18,6 @@ Schützenberger representation built from Rees coordinates.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Optional
 
 from .core import (
     DEFAULT_CAP,
@@ -42,7 +41,7 @@ from .errors import (
     NotIdempotent,
     NotInLocalMonoid,
 )
-from .green import ReesCoordinates, green_structure, minimal_ideal
+from .green import ReesCoordinates, green_structure, minimal_ideal, rees_coordinates
 
 
 def constant_transformation(n: int, target: int) -> Element:
@@ -85,7 +84,7 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     must equal the listed simple part S plus the identity.  S is an ideal
     of M = S ∪ {1}, so it is simple exactly when it is M's minimal ideal,
     which one Green computation finds.  The closure costs |M|·|A|
-    products and Green's structure 2|M|·|A|.
+    products and Green's left Cayley graph another |M|·|A|.
     """
     b = points if isinstance(points, int) else len(points)
     total = (len(g) ** b) * b + 1
@@ -124,61 +123,35 @@ def psi(w: ConstantWreath, e: Element, s: Element) -> Element:
     return s.data[b][1]
 
 
-def local_monoid(m: FiniteMonoid, e: Element):
-    """Elements s with es = s = se, in element order."""
-    mul = m.mul
-    return tuple(s for s in m.elements if mul(e, s) == s and mul(s, e) == s)
-
-
-def rlm(m: FiniteMonoid, rees: Optional[ReesCoordinates] = None):
+def rlm(m: FiniteMonoid):
     """Action of M on the right of the L-classes of its minimal ideal.
 
     Returns (transformation monoid on B, MonoidHom onto it).  Elements of
     the minimal ideal act as constants and every constant map arises.
-
-    With a precomputed Rees coordinatisation of the minimal ideal, class
-    labels are read off coordinates instead of a full Green computation;
-    pass one when M is large.
+    The L-classes are numbered in order of first appearance in the ideal.
     """
     mul = m.mul
-    if rees is not None:
-        ideal = rees.ideal
-        b_classes = list(rees.col_reps)
-        nb = rees.n_b
+    ideal = minimal_ideal(m)
+    gs = green_structure(m)
+    b_classes = []
+    b_of = {}
+    for x in ideal.elements:
+        ci = gs.l_class_of[x]
+        if ci not in b_of:
+            b_of[ci] = len(b_classes)
+            b_classes.append(x)
+    nb = len(b_classes)
 
-        def label(x: Element) -> int:
-            return rees.coord[x][2]
-
-        def alternates():
-            top = rees.group.elements[-1]
-            for b in range(nb):
-                yield b, rees.point[(rees.n_a - 1, top, b)]
-    else:
-        ideal = minimal_ideal(m)
-        gs = green_structure(m)
-        b_classes = []
-        b_of = {}
-        for x in ideal.elements:
-            ci = gs.l_class_of[x]
-            if ci not in b_of:
-                b_of[ci] = len(b_classes)
-                b_classes.append(x)
-        nb = len(b_classes)
-
-        def label(x: Element) -> int:
-            return b_of[gs.l_class_of[x]]
-
-        def alternates():
-            for b, rep in enumerate(b_classes):
-                yield b, gs.l_classes[gs.l_class_of[rep]][-1]
+    def label(x: Element) -> int:
+        return b_of[gs.l_class_of[x]]
 
     def action(u: Element) -> Element:
         return transformation(label(mul(rep, u)) for rep in b_classes)
 
-    # well-definedness spot check: two members of each class must act
-    # identically
-    for b, alt in alternates():
-        rep = b_classes[b]
+    # well-definedness spot check: the first and last members of each class
+    # must act identically
+    for rep in b_classes:
+        alt = gs.l_classes[gs.l_class_of[rep]][-1]
         for u in m.generators:
             if label(mul(rep, u)) != label(mul(alt, u)):
                 raise InternalInconsistency("L-classes are not a right congruence")
@@ -239,8 +212,6 @@ def is_faithful_on_min_ideal(m: FiniteMonoid) -> bool:
 
 def _schutz_at_first_idempotent(m: FiniteMonoid) -> MonoidHom:
     ideal = minimal_ideal(m)
-    from .green import rees_coordinates
-
     rc = rees_coordinates(m, ideal, ideal.idempotents[0])
     return schutz_rep(m, rc)
 

@@ -28,7 +28,7 @@ def outcome():
 
 
 def check(outcome, name):
-    report = outcome.report_for(name)
+    report = next((r for r in outcome.reports if r.construction == name), None)
     assert report is not None, f"{name} never ran"
     failing = [c.name for c in report.checks if c.status == "fail"]
     assert report.passed, f"{name}: failing checks {failing}"

@@ -167,8 +167,8 @@ def test_check_min_ideal_image_fast_paths_at_scale(c2_cover_40):
     from eggbox.wreath import rlm
 
     c = c2_cover_40
-    _, onto = rlm(c.monoid, rees=c.rees)
-    report = check_min_ideal_image(onto, source_ideal=c.ideal)
+    _, onto = rlm(c.monoid)
+    report = check_min_ideal_image(onto)
     assert report.passed
 
 

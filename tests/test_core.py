@@ -2,6 +2,7 @@ import pytest
 
 from eggbox.core import (
     FiniteGroup,
+    FiniteMonoid,
     MonoidHom,
     canonical_section,
     closure,
@@ -9,7 +10,6 @@ from eggbox.core import (
     generate_monoid,
     is_isomorphic,
     monoid_from_elements,
-    naive_omega_power,
     omega_power,
 )
 from eggbox.elements import (
@@ -28,6 +28,7 @@ from eggbox.errors import (
     NotWellDefined,
 )
 from eggbox.groups import builtin_group, cyclic, symmetric
+from eggbox.oracles import naive_omega_power
 
 
 def full_transformation_monoid(n):
@@ -176,6 +177,29 @@ def test_hom_from_generator_images_validates():
     with pytest.raises(NotWellDefined):
         # g has order 4, image would need order dividing 4 in C3
         MonoidHom.from_generator_images(c4, c3, [c3.generators[0]])
+
+
+def test_hom_from_generator_images_rejects_a_doubled_generator_with_two_images():
+    # the doubled-swap monoid lists the swap twice; the swap's witness word
+    # fixes its image, so the second listing cannot send it to 1
+    swap = transformation([1, 0])
+    m = generate_monoid([swap, swap], compose_transformations, name="doubled-swap")
+    assert MonoidHom.from_generator_images(m, m, [swap, swap]).is_surjective()
+    with pytest.raises(NotWellDefined):
+        MonoidHom.from_generator_images(m, m, [swap, m.identity])
+
+
+def test_a_group_is_its_own_monoid():
+    # from_monoid shares every field of the monoid and adds only inverses
+    # and orders
+    m = generate_monoid([transformation([1, 2, 0])], compose_transformations, name="C3")
+    g = FiniteGroup.from_monoid(m)
+    assert isinstance(g, FiniteMonoid)
+    assert FiniteGroup.__slots__ == ("_inverse", "_orders")
+    assert all(getattr(g, slot) is getattr(m, slot) for slot in FiniteMonoid.__slots__)
+    assert len(g) == 3 and m.generators[0] in g
+    assert g.inverse(g.generators[0]) == g.elements[-1]
+    assert g.order_profile() == (1, 3, 3)
 
 
 def test_hom_then_composes():

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from eggbox.constructions import build_idempotent_cover
-from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid, underlying
+from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid
 from eggbox.elements import (
     compose_transformations,
     make_table_mul,
@@ -13,17 +13,15 @@ from eggbox.elements import (
 from eggbox.errors import InternalInconsistency, NotIdempotent, NotInMinimalIdeal, NotSurjective
 from eggbox.green import (
     check_min_ideal_image,
-    green_counts_agree,
     green_structure,
     idempotent_generated,
     is_simple,
     maximal_subgroup,
     minimal_ideal,
-    naive_is_simple,
-    naive_minimal_ideal_elements,
     rees_coordinates,
 )
 from eggbox.groups import builtin_group
+from eggbox.oracles import green_counts_agree, naive_is_simple, naive_minimal_ideal_elements
 from eggbox.wreath import constant_wreath
 
 
@@ -37,6 +35,10 @@ def t3():
         compose_transformations,
         name="T3",
     )
+
+
+def class_counts(gs):
+    return tuple(len(c) for c in (gs.r_classes, gs.l_classes, gs.j_classes, gs.h_classes))
 
 
 def test_green_counts_on_full_transformation_monoid():
@@ -66,7 +68,7 @@ def test_green_products_are_linear_in_the_generators():
     count[0] = 0
     gs = green_structure(m)
     assert count[0] <= 256 * 3
-    assert gs.class_counts() == (1 + 6 + 7 + 1, 1 + 4 + 6 + 4, 4, 1 + 24 + 42 + 4)
+    assert class_counts(gs) == (1 + 6 + 7 + 1, 1 + 4 + 6 + 4, 4, 1 + 24 + 42 + 4)
     assert green_counts_agree(m)
 
 
@@ -80,7 +82,7 @@ def test_long_chain_classifies_without_recursion():
                         identity=table_element("chain", 0), name="chain")
     assert len(m.elements) == n
     gs = green_structure(m)
-    assert gs.class_counts() == (n, n, n, n)
+    assert class_counts(gs) == (n, n, n, n)
     ideal = minimal_ideal(m)
     assert ideal.elements == (table_element("chain", n - 1),)
 
@@ -88,6 +90,7 @@ def test_long_chain_classifies_without_recursion():
 def test_minimal_ideal_of_t3_is_constants():
     m = t3()
     ideal = minimal_ideal(m)
+    assert minimal_ideal(m) is ideal  # cached on the monoid
     assert len(ideal) == 3
     assert set(ideal.elements) == naive_minimal_ideal_elements(m)
     assert all(x.data in {(0, 0, 0), (1, 1, 1), (2, 2, 2)} for x in ideal.elements)
@@ -232,7 +235,7 @@ def test_is_simple_agrees_with_naive_on_idempotent_spans():
     for gname, b in (("C2", 2), ("C3", 2), ("S3", 1)):
         spans.append(idempotent_generated(constant_wreath(builtin_group(gname), b).simple))
     assert len(spans[0]) == 22
-    assert spans[0].generators == m.idempotents()
+    assert spans[0].generators == tuple(x for x in m.elements if m.mul(x, x) == x)
     verdicts = [is_simple(span) for span in spans]
     assert verdicts == [naive_is_simple(span) for span in spans]
     assert verdicts == [False, True, True, True, True]

@@ -1,7 +1,8 @@
 import pytest
 
 import eggbox.wreath as wreath
-from eggbox.core import MonoidHom, generate_monoid, underlying
+from eggbox.constructions import build_idempotent_cover
+from eggbox.core import MonoidHom, generate_monoid
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
@@ -15,7 +16,6 @@ from eggbox.groups import builtin_group
 from eggbox.wreath import (
     constant_wreath,
     is_faithful_on_min_ideal,
-    local_monoid,
     psi,
     rlm,
     schutz_faithful_quotient,
@@ -34,8 +34,9 @@ def test_constant_wreath_sizes():
 def test_psi_is_iso_on_local_monoid():
     w = constant_wreath(builtin_group("C3"), 2)
     g = w.group
+    mul = w.monoid.mul
     for e in w.simple.idempotents():
-        local = [s for s in local_monoid(w.monoid, e) if s in w.simple]
+        local = [s for s in w.simple.elements if mul(e, s) == s == mul(s, e)]
         values = {s: psi(w, e, s) for s in local}
         assert sorted(values.values()) == sorted(g.elements)
         assert values[e] == g.identity
@@ -101,16 +102,23 @@ def test_schutz_map_with_one_bad_image_is_rejected():
         MonoidHom(m, rep.target, bad)
 
 
-def test_rlm_action_and_fast_path_agree():
-    w = constant_wreath(builtin_group("C2"), 3)
-    m = w.monoid
-    slow_target, slow = rlm(m)
-    ideal = minimal_ideal(m)
-    rc = rees_coordinates(m, ideal, ideal.idempotents[0])
-    fast_target, fast = rlm(m, rees=rc)
-    assert len(slow_target.elements) == len(fast_target.elements)
-    # both are full constant-plus-identity actions on 3 classes
-    assert slow.is_surjective() and fast.is_surjective()
+def test_rlm_action_matches_the_rees_column_labels():
+    # oracle: u sends the column of v_b to the column label coord(v_b·u)[2]
+    # of the Rees coordinates; rlm numbers the columns its own way, and an
+    # ideal element x acts as the constant map to x's number.  The wreath's
+    # generators all lie in its ideal; the cover's shift is a unit.
+    cover = build_idempotent_cover(builtin_group("C2"), 3)
+    for m, size in ((constant_wreath(builtin_group("C2"), 3).monoid, 3 + 1), (cover.monoid, 3 + 3)):
+        target, act = rlm(m)
+        ideal = minimal_ideal(m)
+        rc = rees_coordinates(m, ideal, ideal.idempotents[0])
+        number = {rc.coord[x][2]: act(x).data[0] for x in ideal.elements}
+        assert sorted(number) == sorted(number.values()) == [0, 1, 2]
+        for u in m.generators:
+            for b, vb in enumerate(rc.col_reps):
+                assert act(u).data[number[b]] == number[rc.coord[m.mul(vb, u)][2]]
+        # the constant maps, plus the identity and the shift's powers
+        assert act.is_surjective() and len(target.elements) == size
 
 
 def flatten(m, inner_size):
