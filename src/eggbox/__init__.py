@@ -12,7 +12,6 @@ from .core import (
     FiniteGroup,
     FiniteMonoid,
     MonoidHom,
-    Section,
     SubSemigroup,
     canonical_section,
     direct_power,
@@ -45,7 +44,6 @@ from .errors import (
 )
 from .green import (
     GreenStructure,
-    MinimalIdeal,
     ReesCoordinates,
     check_min_ideal_image,
     green_structure,
@@ -100,7 +98,6 @@ __all__ = [
     "GreenStructure",
     "InternalInconsistency",
     "KMismatch",
-    "MinimalIdeal",
     "MonoidHom",
     "NTooSmall",
     "NotSimple",
@@ -108,7 +105,6 @@ __all__ = [
     "PreparedBase",
     "PrimeBoundViolated",
     "ReesCoordinates",
-    "Section",
     "SubSemigroup",
     "UnknownObject",
     "builtin_group",

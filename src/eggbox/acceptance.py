@@ -2,9 +2,8 @@
 
 Each criterion function returns a ConstructionReport whose checks carry the
 evidence (sizes, witnesses).  The expensive artifacts (wreaths, covers,
-embedding solutions) are built once by run_acceptance and threaded through
-the criteria that reuse them; every criterion function can also rebuild its
-own inputs so it stays independently callable.
+embedding solutions) are built once by run_acceptance and handed to the
+criteria that reuse them.
 """
 
 from __future__ import annotations
@@ -68,19 +67,17 @@ def _wreaths() -> Dict[Tuple[str, int], ConstantWreath]:
     return built
 
 
-def criterion_1(wreaths=None) -> ConstructionReport:
+def criterion_1(wreaths) -> ConstructionReport:
     """psi is a bijective homomorphism onto G at every simple-part idempotent."""
     report = ConstructionReport(
         "criterion-1",
         params=[("groups", ",".join(PSI_GROUPS)), ("points", "1,2,3")],
     )
-    if wreaths is None:
-        wreaths = _wreaths()
     for (gname, b), w in sorted(wreaths.items()):
         g = w.group
         mul = w.monoid.mul
         problem = ""
-        idem = w.simple.idempotents()
+        idem = w.simple.idempotents
         for e in idem:
             local = {mul(mul(e, s), e) for s in w.simple.elements}
             values = {s: psi(w, e, s) for s in local}
@@ -104,16 +101,15 @@ def criterion_1(wreaths=None) -> ConstructionReport:
     return report
 
 
-def criterion_2(covers=None) -> Tuple[ConstructionReport, Dict[str, CoverResult]]:
+def criterion_2() -> Tuple[ConstructionReport, Dict[str, CoverResult]]:
     """Full-mode idempotent covers for the five small groups."""
     report = ConstructionReport(
         "criterion-2", params=[("groups", ",".join(COVER_GROUPS))]
     )
-    if covers is None:
-        covers = {}
-        for name in COVER_GROUPS:
-            h = builtin_group(name)
-            covers[name] = build_idempotent_cover(h, cover_modulus_bound(h))
+    covers = {}
+    for name in COVER_GROUPS:
+        h = builtin_group(name)
+        covers[name] = build_idempotent_cover(h, cover_modulus_bound(h))
     for name in COVER_GROUPS:
         c = covers[name]
         sub = verify_cover(c)
@@ -180,13 +176,10 @@ def example_problems() -> Dict[str, EmbeddingProblem]:
 EXPECTED_SUBGROUP = {"E1": "C2", "E2": "C4", "E3": "C2"}
 
 
-def criterion_4(
-    probs=None,
-) -> Tuple[ConstructionReport, Dict[str, EmbeddingSolution], Dict[str, EmbeddingProblem]]:
+def criterion_4() -> Tuple[ConstructionReport, Dict[str, EmbeddingSolution], Dict[str, EmbeddingProblem]]:
     """Solve and exhaustively verify the three embedding examples."""
     report = ConstructionReport("criterion-4", params=[("cap", EMBED_CAP)])
-    if probs is None:
-        probs = example_problems()
+    probs = example_problems()
     sols = {}
     for key in ("E1", "E2", "E3"):
         sol = solve_embedding(probs[key], cap=EMBED_CAP, require_full=True)
@@ -228,11 +221,9 @@ def corrupt_block_entry(sol: EmbeddingSolution, prob: EmbeddingProblem):
     return raw
 
 
-def criterion_5(probs=None, sols=None) -> ConstructionReport:
+def criterion_5(probs, sols) -> ConstructionReport:
     """One corrupted block entry in E2 must trip a verification check."""
     report = ConstructionReport("criterion-5", params=[("example", "E2")])
-    if probs is None or sols is None:
-        _, sols, probs = criterion_4(probs)
     sol = sols["E2"]
     bad_raw = corrupt_block_entry(sol, probs["E2"])
     bad = assemble_embedding(probs["E2"], sol.p, bad_raw, strict=False, cap=MUTATION_CAP)
@@ -250,13 +241,9 @@ def criterion_5(probs=None, sols=None) -> ConstructionReport:
     return report
 
 
-def criterion_6(sols=None, covers=None) -> ConstructionReport:
+def criterion_6(sols, covers) -> ConstructionReport:
     """Minimal ideals and their maximal subgroups map onto their images."""
     report = ConstructionReport("criterion-6")
-    if sols is None:
-        _, sols, _ = criterion_4()
-    if covers is None:
-        _, covers = criterion_2()
     for key in sorted(sols):
         sub = check_min_ideal_image(sols[key].rho)
         report.extend(sub, prefix=f"{key}-rho-")
@@ -268,22 +255,16 @@ def criterion_6(sols=None, covers=None) -> ConstructionReport:
     return report
 
 
-def criterion_7(wreaths=None, covers=None, sols=None) -> ConstructionReport:
+def criterion_7(wreaths, covers, sols) -> ConstructionReport:
     """The idempotent-generated subsemigroup of each simple semigroup is simple."""
     report = ConstructionReport("criterion-7")
-    if wreaths is None:
-        wreaths = _wreaths()
-    if covers is None:
-        _, covers = criterion_2()
-    if sols is None:
-        _, sols, _ = criterion_4()
     simples: List[Tuple[str, SubSemigroup]] = []
     for (gname, b), w in sorted(wreaths.items()):
         simples.append((f"wreath-{gname}-b{b}", w.simple))
     for name in COVER_GROUPS:
-        simples.append((f"cover-{name}", covers[name].ideal.semigroup))
+        simples.append((f"cover-{name}", covers[name].ideal))
     for key in sorted(sols):
-        simples.append((f"ideal-{key}", sols[key].ideal.semigroup))
+        simples.append((f"ideal-{key}", sols[key].ideal))
     for label, sub in simples:
         span = idempotent_generated(sub)
         ok = is_simple(span)
@@ -454,7 +435,7 @@ def run_acceptance() -> AcceptanceOutcome:
         return result
 
     wreaths = _wreaths()
-    r1 = record("criterion-1", lambda: criterion_1(wreaths))
+    record("criterion-1", lambda: criterion_1(wreaths))
     _, covers = record("criterion-2", criterion_2)
     record("criterion-3", criterion_3)
     _, sols, probs = record("criterion-4", criterion_4)
@@ -463,7 +444,6 @@ def run_acceptance() -> AcceptanceOutcome:
     record("criterion-7", lambda: criterion_7(wreaths, covers, sols))
     record("criterion-8", criterion_8)
     record("criterion-9", criterion_9)
-    del r1
     return out
 
 

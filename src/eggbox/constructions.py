@@ -95,10 +95,6 @@ def _least_idempotent_power(x: Element, mul, guard: int):
     raise InternalInconsistency("no idempotent power within the loop guard")
 
 
-def _omega_direct(x: Element, mul, guard: int) -> Element:
-    return _least_idempotent_power(x, mul, guard)[1]
-
-
 def _power(x: Element, k: int, mul, ident: Element) -> Element:
     acc = ident
     sq = x
@@ -300,7 +296,7 @@ def _check_ideal_simple(c: CoverResult) -> Check:
     return Check("ideal-simple", PASS, f"coordinatized {box}")
 
 
-def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> ConstructionReport:
+def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
     """Report on every structural claim the cover makes.
 
     Full mode checks the generator relations, the witness factorizations,
@@ -313,13 +309,12 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
     h = c.group
     mul = c.mul
     n = c.n
-    mode = mode or c.mode
     report = ConstructionReport(
         "cover",
         params=[
             ("group", h.name),
             ("n", n),
-            ("mode", mode),
+            ("mode", c.mode),
             ("size", len(c.monoid.elements) if c.monoid is not None else "-"),
         ],
     )
@@ -340,7 +335,7 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
                      PASS if set(generated) == set(h.elements) else FAIL,
                      f"{len(generated)} of {len(h.elements)} elements"))
 
-    if mode == "cheap" or c.monoid is None:
+    if c.monoid is None:
         for name in ("max-subgroup-iso", "ideal-is-constants", "ideal-simple",
                      "idempotent-closure"):
             report.add(Check(name, SKIPPED, "needs the enumerated cover"))
@@ -360,10 +355,10 @@ def verify_cover(c: CoverResult, mode: Optional[str] = None, seed: int = 0) -> C
     report.add(_check_idempotent_closure(c))
 
     if len(c.ideal.elements) <= IDEMPOTENT_BFS_LIMIT:
-        egen = idempotent_generated(c.ideal.semigroup)
+        egen = idempotent_generated(c.ideal)
         report.add(Check("idempotent-closure-exhaustive",
                          PASS if set(egen.elements) == c.ideal.member else FAIL,
-                         f"breadth-first closure of {len(c.ideal.semigroup.idempotents())} idempotents"))
+                         f"breadth-first closure of {len(c.ideal.idempotents)} idempotents"))
     return report
 
 
@@ -516,8 +511,7 @@ class EmbeddingSolution:
     __slots__ = ("problem", "p", "nu", "ell", "m", "r", "n_elements", "nbt",
                  "sigma", "raw", "mprime", "ideal", "rho", "rho_map",
                  "e_prime", "cycler", "group", "group_elements", "theta",
-                 "theta_map", "mode", "capnote", "block_mul", "inner_mul",
-                 "schutz_inverse")
+                 "theta_map", "mode", "capnote", "block_mul", "schutz_inverse")
 
     def __init__(self, **kw):
         for slot in self.__slots__:
@@ -570,7 +564,7 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
     inner_mul = make_rowmono_mul(h.mul)
     b = base.b
     lifts = tuple(
-        row_monomial((c, sigma.map[v]) for c, v in mat.data) for mat in base.matrices
+        row_monomial((c, sigma[v]) for c, v in mat.data) for mat in base.matrices
     )
     guard = len(h.elements) ** b * b + 2
     m_power, _ = _least_idempotent_power(lifts[0], inner_mul, guard)
@@ -639,12 +633,12 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     cycler = _power(raw[0], m_power * r, block_mul, block_ident)
 
     block_guard = p * guard
-    o1 = _omega_direct(raw[0], block_mul, block_guard)
-    o2 = _omega_direct(raw[1], block_mul, block_guard)
+    o1 = _least_idempotent_power(raw[0], block_mul, block_guard)[1]
+    o2 = _least_idempotent_power(raw[1], block_mul, block_guard)[1]
     eta_w = block_ident
     for gi in base.word:
         eta_w = block_mul(eta_w, raw[gi])
-    e_prime = _omega_direct(block_mul(block_mul(o1, eta_w), o2), block_mul, block_guard)
+    e_prime = _least_idempotent_power(block_mul(block_mul(o1, eta_w), o2), block_mul, block_guard)[1]
 
     schutz_inverse = {}
     for u, mat in base.schutz.map.items():
@@ -725,8 +719,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
         mprime=mprime, ideal=ideal_p, rho=rho, rho_map=rho_map,
         e_prime=e_prime, cycler=cycler, group=group,
         group_elements=group_elements, theta=theta, theta_map=theta_map,
-        mode=mode, capnote=capnote, block_mul=block_mul, inner_mul=inner_mul,
-        schutz_inverse=schutz_inverse,
+        mode=mode, capnote=capnote, block_mul=block_mul, schutz_inverse=schutz_inverse,
     )
 
 
@@ -888,7 +881,7 @@ def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
     report.add(Check("kernel-coverage", PASS if not missing else FAIL,
                      missing or f"{sol.nu} kernel elements in {sol.p} steps"))
 
-    sect = [sol.sigma.map[k] for k in base.group.elements]
+    sect = [sol.sigma[k] for k in base.group.elements]
     lack = [x for x in sect if x not in theta_vals]
     report.add(Check("section-coverage", PASS if not lack else FAIL,
                      f"section of {len(sect)} elements" if not lack else

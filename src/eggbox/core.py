@@ -12,7 +12,8 @@ Every generated set in the library comes from one breadth-first walk,
 :func:`monoid_from_elements` for a known closed set, which generates it
 from all of its elements), subgroups and normal closures, and the
 idempotent-generated subsemigroups.  A monoid keeps the closure's edges
-x -> x·a as its right Cayley graph.
+x -> x·a as its right Cayley graph, and :func:`along_words` extends a
+value along its witness words at one step per element.
 
 Both monoid builders validate what they return, exactly and at every
 size.  A product rule certified associative (see :mod:`eggbox.elements`)
@@ -186,6 +187,23 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key"), su
                 succ.append(row)
         level = fresh
     return levels, words
+
+
+def along_words(m: FiniteMonoid, start, step) -> list:
+    """The value f(x) of every element x, by element index, with f(1) =
+    ``start`` and f(x′·a) = step(f(x′), t) for x′·a x's witness word and a
+    the t-th generator.
+
+    One step per element: breadth-first order puts the prefix x′ of each
+    witness word before x.
+    """
+    at_word = {}
+    values = []
+    for i, x in enumerate(m.elements):
+        word = m.words[x]
+        at_word[word] = i
+        values.append(step(values[at_word[word[:-1]]], word[-1]) if word else start)
+    return values
 
 
 def generate_monoid(
@@ -374,9 +392,12 @@ class MonoidHom:
     def from_generator_images(cls, source, target, images):
         """Extend generator images along witness words, then validate.
 
-        A generator's word fixes its image, so a generator listed twice
-        with two images raises :class:`NotWellDefined`, as does any map
-        that :meth:`_validate` rejects.
+        The extension takes one target product per element past the
+        identity (:func:`along_words`), the validation one per edge of the
+        source's right Cayley graph.  A generator's word fixes its image,
+        so a generator listed twice with two images raises
+        :class:`NotWellDefined`, as does any map that :meth:`_validate`
+        rejects.
         """
         images = list(images)
         if len(images) != len(source.generators):
@@ -386,12 +407,9 @@ class MonoidHom:
         for y in images:
             if y not in target.index:
                 raise NotWellDefined(f"generator image {y!r} is outside the target")
-        mapping = {}
-        for x in source.elements:
-            acc = target.identity
-            for gi in source.words[x]:
-                acc = target.mul(acc, images[gi])
-            mapping[x] = acc
+        tmul = target.mul
+        values = along_words(source, target.identity, lambda acc, t: tmul(acc, images[t]))
+        mapping = dict(zip(source.elements, values))
         for t, (g, y) in enumerate(zip(source.generators, images)):
             if mapping[g] != y:
                 raise NotWellDefined(f"generator {t} is given the image {y!r}, "
@@ -425,21 +443,9 @@ class MonoidHom:
         return frozenset(x for x, y in self.map.items() if y == one)
 
 
-class Section:
-    """A choice of preimages for a surjective group homomorphism."""
-
-    __slots__ = ("alpha", "map")
-
-    def __init__(self, alpha: MonoidHom, mapping: dict):
-        self.alpha = alpha
-        self.map = mapping
-
-    def __call__(self, k: Element) -> Element:
-        return self.map[k]
-
-
-def canonical_section(alpha: MonoidHom) -> Section:
-    """Deterministic section of a surjective homomorphism.
+def canonical_section(alpha: MonoidHom) -> dict:
+    """Deterministic section of a surjective homomorphism, as a map from
+    the target's elements, in target order, to their chosen preimages.
 
     The identity lifts to the identity; every other element lifts to its
     preimage least in the source element order.
@@ -456,7 +462,7 @@ def canonical_section(alpha: MonoidHom) -> Section:
     for k, h in mapping.items():
         if alpha.map[h] != k:
             raise NotWellDefined("section disagrees with the map")
-    return Section(alpha, {k: mapping[k] for k in alpha.target.elements})
+    return {k: mapping[k] for k in alpha.target.elements}
 
 
 def small_generating_set(g: FiniteGroup):
@@ -559,11 +565,11 @@ def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
 
 class SubSemigroup:
     """A product-closed subset of an ambient monoid, with the generators it
-    was closed from (all of its elements when none are given).  Closure is
-    the caller's to vouch for: every caller hands in an ideal or a closure
-    result."""
+    was closed from (all of its elements when none are given) and its
+    idempotents, found on first use.  Closure is the caller's to vouch for:
+    every caller hands in an ideal or a closure result."""
 
-    __slots__ = ("monoid", "elements", "member", "generators")
+    __slots__ = ("monoid", "elements", "member", "generators", "_idempotents")
 
     def __init__(self, monoid: FiniteMonoid, elements, generators=None):
         self.monoid = monoid
@@ -571,6 +577,7 @@ class SubSemigroup:
         self.elements = tuple(sorted(set(elements), key=lambda x: order[x]))
         self.member = frozenset(self.elements)
         self.generators = self.elements if generators is None else tuple(generators)
+        self._idempotents = None
 
     def __len__(self):
         return len(self.elements)
@@ -581,6 +588,9 @@ class SubSemigroup:
     def __repr__(self):
         return f"SubSemigroup({len(self.elements)} of {self.monoid.name!r})"
 
-    def idempotents(self):
-        mul = self.monoid.mul
-        return tuple(x for x in self.elements if mul(x, x) == x)
+    @property
+    def idempotents(self) -> tuple:
+        if self._idempotents is None:
+            mul = self.monoid.mul
+            self._idempotents = tuple(x for x in self.elements if mul(x, x) == x)
+        return self._idempotents

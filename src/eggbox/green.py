@@ -180,30 +180,9 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
     return gs
 
 
-class MinimalIdeal:
-    """The least J-class of a monoid, with its idempotents."""
-
-    __slots__ = ("monoid", "elements", "member", "idempotents", "semigroup")
-
-    def __init__(self, monoid, elements, idempotents):
-        self.monoid = monoid
-        self.elements = tuple(elements)
-        self.member = frozenset(self.elements)
-        self.idempotents = tuple(idempotents)
-        self.semigroup = SubSemigroup(monoid, self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.member
-
-    def __repr__(self):
-        return f"MinimalIdeal({len(self.elements)} elements of {self.monoid.name!r})"
-
-
-def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
-    """The unique minimal two-sided ideal (cached on M).
+def minimal_ideal(m: FiniteMonoid) -> SubSemigroup:
+    """The unique minimal two-sided ideal (cached on M), which must hold an
+    idempotent.
 
     Green's classification already tested every J-class for closure under
     the generators on both sides, edge by edge of the Cayley graphs.  A
@@ -216,16 +195,14 @@ def minimal_ideal(m: FiniteMonoid) -> MinimalIdeal:
     if len(gs.j_sinks) != 1:
         raise InternalInconsistency(f"{len(gs.j_sinks)} J-classes are closed under the generators; "
                                     "the minimal ideal must be the only one")
-    members = gs.j_classes[gs.j_sinks[0]]
-    mul = m.mul
-    idem = [x for x in members if mul(x, x) == x]
-    if not idem:
+    ideal = SubSemigroup(m, gs.j_classes[gs.j_sinks[0]])
+    if not ideal.idempotents:
         raise NoIdempotents("minimal ideal of a finite monoid must contain an idempotent")
-    m._ideal = MinimalIdeal(m, members, idem)
-    return m._ideal
+    m._ideal = ideal
+    return ideal
 
 
-def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[MinimalIdeal] = None) -> FiniteGroup:
+def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[SubSemigroup] = None) -> FiniteGroup:
     """Group of units of eMe, read off Green's structure as the H-class of e
     in element order; each member must be fixed by e on both sides and lie
     in a supplied minimal ideal holding e, and the class must be a group."""
@@ -291,7 +268,7 @@ class ReesCoordinates:
         return f"ReesCoordinates({self.n_a}x{self.n_b}, group order {len(self.group)})"
 
 
-def rees_coordinates(m: FiniteMonoid, ideal: MinimalIdeal, e: Element) -> ReesCoordinates:
+def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCoordinates:
     """Coordinatize the minimal ideal as a normalized Rees matrix semigroup,
     checked on every generator edge by :func:`_check_rees_law`."""
     mul = m.mul
@@ -435,7 +412,7 @@ def is_simple(s: SubSemigroup) -> bool:
 def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     """The subsemigroup generated by the idempotents of S, which it records
     as its generators."""
-    idem = s.idempotents()
+    idem = s.idempotents
     if not idem:
         raise NoIdempotents("no idempotents to generate from")
     # products of idempotent words are closed under concatenation

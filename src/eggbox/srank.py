@@ -26,6 +26,7 @@ from typing import Optional
 from .core import (
     FiniteGroup,
     MonoidHom,
+    along_words,
     closure,
     direct_power,
     is_isomorphic,
@@ -49,25 +50,15 @@ def _cayley_table(g: FiniteGroup):
     index of x·y and ``inverse[x]`` that of x⁻¹.
 
     The right Cayley graph x -> x·a, a a generator, is the one the group's
-    closure kept.  Every other entry follows along witness words by
-    lookups, since y = y′·a gives x·y = (x·y′)·a.  That step is
-    associativity, which ``generate_monoid`` established for the group,
-    by a certified product rule or by Light's exact test.
+    closure kept.  Column y, which holds x·y for every x, follows from the
+    column of y's word prefix by lookups (:func:`~eggbox.core.along_words`),
+    since y = y′·a gives x·y = (x·y′)·a.  That step is associativity,
+    which ``generate_monoid`` established for the group, by a certified
+    product rule or by Light's exact test.
     """
-    elements = g.elements
-    words = g.words
     right = g.right
-    at_word = {words[x]: i for i, x in enumerate(elements)}
+    columns = along_words(g, list(range(len(g))), lambda column, a: [right[t][a] for t in column])
     e = g.index[g.identity]
-    # column y holds x·y for every x; breadth-first element order puts the
-    # prefix y′ of y's word before y
-    columns = [None] * len(elements)
-    columns[e] = list(range(len(elements)))
-    for y, x in enumerate(elements):
-        word = words[x]
-        if word:
-            a = word[-1]
-            columns[y] = [right[t][a] for t in columns[at_word[word[:-1]]]]
     inverse = [column.index(e) for column in columns]
     return list(zip(*columns)), inverse
 

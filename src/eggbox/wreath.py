@@ -11,8 +11,12 @@ whose entries are matrices, under a rule built over the inner rule.
 The module hosts the group-to-wreath dictionary: constant wreaths
 G ≀ (B, constants), generated from a few matrices and checked against the
 listed set, with the projection psi of the local monoid at an idempotent
-onto G; the RLM action on the L-classes of a minimal ideal; and the
-Schützenberger representation built from Rees coordinates.
+onto G; and M's right action on its minimal ideal.  That action is read
+off the right Cayley graph and extended along witness words: the
+Schützenberger representation from the Rees coordinates of the
+generators' translates, the RLM as its column part, and the faithfulness
+test as the distinctness of translate rows, which builds no
+representation.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     FiniteMonoid,
     MonoidHom,
     SubSemigroup,
+    along_words,
     generate_monoid,
 )
 from .elements import (
@@ -126,43 +131,23 @@ def psi(w: ConstantWreath, e: Element, s: Element) -> Element:
 def rlm(m: FiniteMonoid):
     """Action of M on the right of the L-classes of its minimal ideal.
 
-    Returns (transformation monoid on B, MonoidHom onto it).  Elements of
-    the minimal ideal act as constants and every constant map arises.
-    The L-classes are numbered in order of first appearance in the ideal.
+    Returns (transformation monoid on B, MonoidHom onto it).  The action is
+    the column part of the Schützenberger representation at the ideal's
+    first idempotent: u sends column b to the column of v_b·u, with the
+    columns numbered as the Rees columns.  It is well defined because the
+    Rees coordinates were checked on every edge out of the ideal: the
+    column of x·a depends only on the column of x.  Elements of the
+    minimal ideal act as constants and every constant map arises.
     """
-    mul = m.mul
-    ideal = minimal_ideal(m)
-    gs = green_structure(m)
-    b_classes = []
-    b_of = {}
-    for x in ideal.elements:
-        ci = gs.l_class_of[x]
-        if ci not in b_of:
-            b_of[ci] = len(b_classes)
-            b_classes.append(x)
-    nb = len(b_classes)
-
-    def label(x: Element) -> int:
-        return b_of[gs.l_class_of[x]]
-
-    def action(u: Element) -> Element:
-        return transformation(label(mul(rep, u)) for rep in b_classes)
-
-    # well-definedness spot check: the first and last members of each class
-    # must act identically
-    for rep in b_classes:
-        alt = gs.l_classes[gs.l_class_of[rep]][-1]
-        for u in m.generators:
-            if label(mul(rep, u)) != label(mul(alt, u)):
-                raise InternalInconsistency("L-classes are not a right congruence")
-
-    seeds = [action(g) for g in m.generators]
+    rep = _schutz_at_first_idempotent(m)
+    nb = len(rep.target.identity.data)
+    seeds = [transformation(b for b, _ in rep(a).data) for a in m.generators]
     target = generate_monoid(
         seeds, compose_transformations, identity=transformation(range(nb)),
         name=f"rlm[{m.name}]",
     )
-    hom = MonoidHom(m, target, {u: action(u) for u in m.elements})
-    for x in ideal.elements:
+    hom = MonoidHom.from_generator_images(m, target, seeds)
+    for x in minimal_ideal(m).elements:
         img = hom(x).data
         if any(t != img[0] for t in img):
             raise InternalInconsistency("minimal ideal element does not act as a constant")
@@ -177,37 +162,52 @@ def schutz_rep(m: FiniteMonoid, rc: ReesCoordinates) -> MonoidHom:
 
     s maps to the matrix whose row b' holds the G-coordinate of v_{b'}·s in
     the column of its L-class; the representation is a homomorphism,
-    faithful on the maximal subgroup at the base idempotent.
+    faithful on the maximal subgroup at the base idempotent.  A
+    generator's matrix is read off the right Cayley graph and the map is
+    extended along witness words, so M's own product is used only on the
+    matrix entries, which lie in G.
     """
-    mul = m.mul
     g = rc.group
-
-    def matrix_of(u: Element) -> Element:
+    idx = m.index
+    els = m.elements
+    cols = [m.right[idx[vb]] for vb in rc.col_reps]
+    seeds = []
+    for t in range(len(m.generators)):
         rows = []
-        for vb in rc.col_reps:
-            a, gg, b = rc.coord[mul(vb, u)]
+        for succ in cols:
+            a, gg, b = rc.coord[els[succ[t]]]
             if a != rc.a0:
                 raise InternalInconsistency("column representative left its R-class")
             rows.append((b, gg))
-        return row_monomial(rows)
-
-    ident = matrix_of(m.identity)
-    if ident != identity_row_monomial(rc.n_b, g.identity):
-        raise InternalInconsistency("identity does not map to the identity matrix")
-    seeds = [matrix_of(x) for x in m.generators]
+        seeds.append(row_monomial(rows))
     target = generate_monoid(
-        seeds, make_rowmono_mul(g.mul), identity=ident, name=f"schutz[{m.name}]"
+        seeds, make_rowmono_mul(g.mul), identity=identity_row_monomial(rc.n_b, g.identity),
+        name=f"schutz[{m.name}]",
     )
-    hom = MonoidHom(m, target, {u: matrix_of(u) for u in m.elements})
+    hom = MonoidHom.from_generator_images(m, target, seeds)
     if len({hom(x) for x in g.elements}) != len(g):
         raise InternalInconsistency("representation is not faithful on the maximal subgroup")
     return hom
 
 
 def is_faithful_on_min_ideal(m: FiniteMonoid) -> bool:
-    """True iff the Schützenberger representation separates all of M."""
-    rep = _schutz_at_first_idempotent(m)
-    return len(set(rep.map.values())) == len(m.elements)
+    """True iff the Schützenberger representation separates all of M.
+
+    It separates s from s′ exactly when x·s ≠ x·s′ for some x in the
+    minimal ideal.  Fix an R-class R of the ideal and one r per H-class of
+    R; any x of the ideal is z·r for z in the ideal and r the one in x's
+    L-class, so x·s = z·(r·s) and the row of translates r·s fixes the
+    action of s on the whole ideal.
+    The rows are folded along witness words over the right Cayley graph,
+    with no products, and M is faithful iff they are distinct.
+    """
+    ideal = minimal_ideal(m)
+    gs = green_structure(m)
+    r0 = gs.r_class_of[ideal.elements[0]]
+    reps = {gs.h_class_of[x]: m.index[x] for x in ideal.elements if gs.r_class_of[x] == r0}
+    right = m.right
+    rows = along_words(m, tuple(reps.values()), lambda row, t: tuple([right[i][t] for i in row]))
+    return len(set(rows)) == len(rows)
 
 
 def _schutz_at_first_idempotent(m: FiniteMonoid) -> MonoidHom:

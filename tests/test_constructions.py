@@ -76,6 +76,18 @@ def test_cover_ideal_is_rectangular_over_h():
     assert report.passed and not any(ch.status == "skipped" for ch in report.checks)
 
 
+def test_cover_sizes():
+    # a nontrivial H gives n + n²|H| elements: the n powers of x and an
+    # n × H × n Rees box; for H = 1 every constant matrix with the identity
+    # entry shares one row, so the box is 1 × 1 × n and the size is 2n
+    for name, n, size in (("1", 2, 4), ("1", 3, 6), ("C2", 3, 21), ("C2", 4, 36),
+                          ("C3", 5, 80), ("C3", 7, 154), ("C4", 7, 203), ("C2xC2", 7, 203),
+                          ("C5", 9, 414), ("S3", 11, 737), ("S3", 12, 876)):
+        h = builtin_group(name)
+        assert len(build_idempotent_cover(h, n, mode="full").monoid) == size
+        assert size == (2 * n if len(h) == 1 else n + n * n * len(h))
+
+
 def test_cover_products_are_linear_in_the_generators(monkeypatch):
     count = [0]
     make_rule = constructions.make_rowmono_mul

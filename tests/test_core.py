@@ -179,6 +179,23 @@ def test_hom_from_generator_images_validates():
         MonoidHom.from_generator_images(c4, c3, [c3.generators[0]])
 
 
+def test_hom_from_generator_images_takes_one_product_per_element_and_edge():
+    m = generate_monoid([transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))],
+                        compose_transformations, name="T4")
+    count = [0]
+
+    def counting(p, q):
+        count[0] += 1
+        return m.mul(p, q)
+
+    target = FiniteMonoid("T4", m.elements, counting, m.identity, m.generators, m.words, m.right)
+    assert MonoidHom.from_generator_images(m, target, m.generators).is_surjective()
+    # one product per element past the identity extends the images along
+    # the witness words, one per right Cayley edge validates the map; a
+    # fold of every whole word took 2,304
+    assert count[0] <= (len(m) - 1) + len(m) * len(m.generators)
+
+
 def test_hom_from_generator_images_rejects_a_doubled_generator_with_two_images():
     # the doubled-swap monoid lists the swap twice; the swap's witness word
     # fixes its image, so the second listing cannot send it to 1
@@ -217,9 +234,9 @@ def test_canonical_section_picks_least_preimages():
     c2 = builtin_group("C2")
     alpha = MonoidHom.from_generator_images(c4, c2, [c2.generators[0]])
     sec = canonical_section(alpha)
-    assert sec(c2.identity) == c4.identity
+    assert sec[c2.identity] == c4.identity
     for k in c2.elements:
-        assert alpha(sec(k)) == k
+        assert alpha(sec[k]) == k
     with pytest.raises(NotSurjective):
         canonical_section(
             MonoidHom.from_generator_images(

@@ -231,7 +231,7 @@ def test_is_simple_agrees_with_naive_on_idempotent_spans():
     m = t3()
     # the idempotents of T3 generate the identity and all 21 singular maps
     spans = [idempotent_generated(SubSemigroup(m, m.elements)),
-             idempotent_generated(minimal_ideal(m).semigroup)]
+             idempotent_generated(minimal_ideal(m))]
     for gname, b in (("C2", 2), ("C3", 2), ("S3", 1)):
         spans.append(idempotent_generated(constant_wreath(builtin_group(gname), b).simple))
     assert len(spans[0]) == 22

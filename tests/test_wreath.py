@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 import eggbox.wreath as wreath
 from eggbox.constructions import build_idempotent_cover
-from eggbox.core import MonoidHom, generate_monoid
+from eggbox.core import FiniteMonoid, MonoidHom, generate_monoid
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
@@ -10,8 +12,8 @@ from eggbox.elements import (
     row_monomial,
     transformation,
 )
-from eggbox.errors import InternalInconsistency, NotIdempotent, NotInLocalMonoid, NotWellDefined
-from eggbox.green import minimal_ideal, rees_coordinates
+from eggbox.errors import CapExceeded, InternalInconsistency, NotIdempotent, NotInLocalMonoid, NotWellDefined
+from eggbox.green import green_structure, minimal_ideal, rees_coordinates
 from eggbox.groups import builtin_group
 from eggbox.wreath import (
     constant_wreath,
@@ -35,7 +37,7 @@ def test_psi_is_iso_on_local_monoid():
     w = constant_wreath(builtin_group("C3"), 2)
     g = w.group
     mul = w.monoid.mul
-    for e in w.simple.idempotents():
+    for e in w.simple.idempotents:
         local = [s for s in w.simple.elements if mul(e, s) == s == mul(s, e)]
         values = {s: psi(w, e, s) for s in local}
         assert sorted(values.values()) == sorted(g.elements)
@@ -44,7 +46,7 @@ def test_psi_is_iso_on_local_monoid():
 
 def test_psi_input_validation():
     w = constant_wreath(builtin_group("C2"), 2)
-    e = w.simple.idempotents()[0]
+    e = w.simple.idempotents[0]
     with pytest.raises(NotIdempotent):
         psi(w, w.monoid.identity, e)
     other = next(
@@ -62,6 +64,49 @@ def unit_zero():
     )
 
 
+def t3():
+    return generate_monoid([transformation(t) for t in ((1, 0, 2), (1, 2, 0), (0, 1, 1))],
+                           compose_transformations, name="T3")
+
+
+def t4():
+    return generate_monoid([transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))],
+                           compose_transformations, name="T4")
+
+
+def counted(m):
+    """M under a product that counts its calls, with M's elements, words
+    and right Cayley graph."""
+    count = [0]
+
+    def mul(p, q):
+        count[0] += 1
+        return m.mul(p, q)
+
+    return FiniteMonoid(m.name, m.elements, mul, m.identity, m.generators, m.words, m.right), count
+
+
+def schutz_is_injective(m):
+    """Oracle: the Schützenberger representation at the first idempotent
+    of the minimal ideal separates M."""
+    ideal = minimal_ideal(m)
+    rep = schutz_rep(m, rees_coordinates(m, ideal, ideal.idempotents[0]))
+    return len(set(rep.map.values())) == len(m)
+
+
+def random_transformation_monoids(count, seed):
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rnd.randint(2, 4)
+        seeds = [transformation([rnd.randrange(d) for _ in range(d)]) for _ in range(rnd.randint(1, 3))]
+        try:
+            out.append(generate_monoid(seeds, compose_transformations, cap=100, identity=transformation(range(d))))
+        except CapExceeded:
+            pass
+    return out
+
+
 def test_faithfulness_verdicts():
     # the unit-zero monoid acts trivially on its singleton minimal ideal
     assert not is_faithful_on_min_ideal(unit_zero())
@@ -77,6 +122,33 @@ def test_schutz_quotient_collapses_unit_zero():
     assert is_faithful_on_min_ideal(target)
 
 
+def test_faithfulness_agrees_with_the_schutzenberger_representation():
+    fixed = [unit_zero(), t3(), t4(),
+             build_idempotent_cover(builtin_group("C2"), 3).monoid,
+             build_idempotent_cover(builtin_group("C3"), 5).monoid,
+             constant_wreath(builtin_group("C2"), 3).monoid]
+    monoids = fixed + random_transformation_monoids(200, seed=2024)
+    verdicts = [is_faithful_on_min_ideal(m) for m in monoids]
+    assert verdicts == [schutz_is_injective(m) for m in monoids]
+    assert verdicts[:len(fixed)] == [False] + [True] * (len(fixed) - 1)
+    # both verdicts are common among the random monoids
+    assert 50 <= verdicts.count(False) <= 150
+
+
+def test_the_action_on_the_minimal_ideal_is_read_off_the_cayley_graph():
+    m, count = counted(t4())
+    ideal = minimal_ideal(m)
+    rc = rees_coordinates(m, ideal, ideal.idempotents[0])
+    count[0] = 0
+    # building a representation to test faithfulness took 1,082 products
+    assert is_faithful_on_min_ideal(m)
+    assert count[0] == 0
+    # only the matrix entries, which lie in G, are multiplied; a product of
+    # every column representative by every element took 1,041
+    schutz_rep(m, rc)
+    assert count[0] <= len(rc.group) ** 2
+
+
 def test_schutz_rep_is_faithful_on_group():
     w = constant_wreath(builtin_group("C2"), 2)
     m = w.monoid
@@ -89,8 +161,7 @@ def test_schutz_rep_is_faithful_on_group():
 def test_schutz_map_with_one_bad_image_is_rejected():
     # T4 has 256 elements; the hom check follows every generator edge, so one
     # wrong image off the generators is found at this size as at any other
-    m = generate_monoid([transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))],
-                        compose_transformations, name="T4")
+    m = t4()
     assert len(m.elements) > 200
     ideal = minimal_ideal(m)
     rep = schutz_rep(m, rees_coordinates(m, ideal, ideal.idempotents[0]))
@@ -104,8 +175,9 @@ def test_schutz_map_with_one_bad_image_is_rejected():
 
 def test_rlm_action_matches_the_rees_column_labels():
     # oracle: u sends the column of v_b to the column label coord(v_b·u)[2]
-    # of the Rees coordinates; rlm numbers the columns its own way, and an
-    # ideal element x acts as the constant map to x's number.  The wreath's
+    # of the Rees coordinates, each column read through the number rlm
+    # gives it: an ideal element x acts as the constant map to x's number,
+    # so the oracle holds under any numbering of the columns.  The wreath's
     # generators all lie in its ideal; the cover's shift is a unit.
     cover = build_idempotent_cover(builtin_group("C2"), 3)
     for m, size in ((constant_wreath(builtin_group("C2"), 3).monoid, 3 + 1), (cover.monoid, 3 + 3)):
@@ -119,6 +191,42 @@ def test_rlm_action_matches_the_rees_column_labels():
                 assert act(u).data[number[b]] == number[rc.coord[m.mul(vb, u)][2]]
         # the constant maps, plus the identity and the shift's powers
         assert act.is_surjective() and len(target.elements) == size
+
+
+def test_rlm_is_the_column_part_of_the_schutzenberger_representation():
+    for m in (t4(), build_idempotent_cover(builtin_group("C2"), 3).monoid,
+              constant_wreath(builtin_group("C3"), 2).monoid):
+        _, act = rlm(m)
+        ideal = minimal_ideal(m)
+        rep = schutz_rep(m, rees_coordinates(m, ideal, ideal.idempotents[0]))
+        for u in m.generators:
+            assert act(u).data == tuple(b for b, _ in rep(u).data)
+
+
+def test_rlm_rejects_a_bad_product_inside_an_l_class():
+    # u·x is wrong but shares the H-class of the true value, so Green's
+    # classes stay as they are.  u lies in the last column and is neither
+    # the first nor the last member of its L-class, so a check of each
+    # L-class's ends misses it; the Rees law on every edge does not
+    c = build_idempotent_cover(builtin_group("C2"), 3)
+    m, rc = c.monoid, c.rees
+    gs = green_structure(m)
+
+    def ends(v):
+        members = gs.l_classes[gs.l_class_of[v]]
+        return members[0], members[-1]
+
+    u = next(v for v in c.ideal.elements if rc.coord[v][2] == rc.n_b - 1 and v not in ends(v))
+    a, g, b = rc.coord[m.mul(u, c.x)]
+    wrong = rc.point[(a, next(h for h in rc.group.elements if h != g), b)]
+
+    def mul(p, q):
+        return wrong if (p == u and q == c.x) else m.mul(p, q)
+
+    bad = FiniteMonoid("bad", m.elements, mul, m.identity, m.generators, m.words)
+    assert green_structure(bad).h_classes == gs.h_classes
+    with pytest.raises(InternalInconsistency, match="not multiplicative"):
+        rlm(bad)
 
 
 def flatten(m, inner_size):
