@@ -75,11 +75,14 @@ def criterion_1(wreaths) -> ConstructionReport:
     )
     for (gname, b), w in sorted(wreaths.items()):
         g = w.group
-        mul = w.monoid.mul
+        m, at = w.monoid, w.monoid.index
+        simple = [at[s] for s in w.simple.elements]
         problem = ""
         idem = w.simple.idempotents
         for e in idem:
-            local = {mul(mul(e, s), e) for s in w.simple.elements}
+            # eSe = (eS)e by word walks; the multiplicativity check below
+            # multiplies, so that it checks the walks instead of sharing them
+            local = {m.elements[m.times(x, at[e])] for x in {m.times(at[e], s) for s in simple}}
             values = {s: psi(w, e, s) for s in local}
             if len(values) != len(g.elements) or set(values.values()) != set(g.elements):
                 problem = f"psi not bijective at {e!r}"
@@ -89,7 +92,7 @@ def criterion_1(wreaths) -> ConstructionReport:
                 break
             items = sorted(local)
             if any(
-                values[mul(s, t)] != g.mul(values[s], values[t])
+                values[m.mul(s, t)] != g.mul(values[s], values[t])
                 for s in items
                 for t in items
             ):

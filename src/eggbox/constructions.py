@@ -8,8 +8,10 @@ and a surjection alpha: H -> K onto its anchored maximal subgroup and
 builds a monoid of block matrices realizing H as the maximal subgroup over
 the base, together with the maps rho and theta that certify the extension.
 
-Everything a verification report claims is recomputed from products of the
-actual elements.  Cover checks are exhaustive at every size; the embedding
+Everything a verification report claims about an enumerated monoid is
+read off the closure's right Cayley graph, its products walks along
+witness words; generators and unenumerated closures are multiplied as
+matrices.  Cover checks are exhaustive at every size; the embedding
 verifier samples words, and in capped mode theta's multiplicativity, and
 its witnesses say so.
 """
@@ -64,7 +66,7 @@ from .wreath import (
 
 WORD_SAMPLE = 50
 # ideals up to this size are also closed breadth-first from their
-# idempotents, at |I|·|E(I)| products
+# idempotents, at |I|·|E(I)| word walks
 IDEMPOTENT_BFS_LIMIT = 2000
 PREIMAGE_LIMIT = 4096
 
@@ -237,33 +239,33 @@ def _check_idempotent_closure(c: CoverResult) -> Check:
     sandwich normalization; the maximal subgroup cell at y is exhausted by
     the witness products, which are products of idempotents; and every
     element of J factors as row unit * cell element * column unit, which
-    is checked for every element: 2|J| products.
+    is checked for every element: 2|J| word walks in the cover.
     """
     rc = c.rees
-    mul = c.mul
+    m = c.monoid
+    at = {k: m.index[x] for k, x in rc.point.items()}
     k = rc.group
     one = k.identity
     for a in range(rc.n_a):
-        u = rc.point[(a, one, 0)]
-        if mul(u, u) != u:
+        u = at[(a, one, 0)]
+        if m.times(u, u) != u:
             return Check("idempotent-closure", FAIL, f"row unit {a} is not idempotent")
     for b in range(rc.n_b):
-        u = rc.point[(0, one, b)]
-        if mul(u, u) != u:
+        u = at[(0, one, b)]
+        if m.times(u, u) != u:
             return Check("idempotent-closure", FAIL, f"column unit {b} is not idempotent")
     cell = {c.y}
     for factors in cover_idempotent_witnesses(c).values():
-        prod = factors[0]
+        prod = m.index[factors[0]]
         for f in factors[1:]:
-            prod = mul(prod, f)
-        cell.add(prod)
+            prod = m.times(prod, m.index[f])
+        cell.add(m.elements[prod])
     if cell != set(k.elements):
         return Check("idempotent-closure", FAIL,
                      "witness products do not exhaust the cell at y")
     for u in c.ideal.elements:
         a, g, b = rc.coord[u]
-        prod = mul(mul(rc.point[(a, one, 0)], rc.point[(0, g, 0)]), rc.point[(0, one, b)])
-        if prod != u:
+        if m.times(m.times(at[(a, one, 0)], at[(0, g, 0)]), at[(0, one, b)]) != m.index[u]:
             return Check("idempotent-closure", FAIL,
                          f"{short_str(u)} is not its own three-idempotent product")
     return Check("idempotent-closure", PASS, "factorization exhaustive")
@@ -428,13 +430,14 @@ def prepare_base(m) -> PreparedBase:
     z = m.eval_word(word)
     if z not in ideal.member:
         raise InternalInconsistency("the full-support word left the minimal ideal")
-    mul = m.mul
-    og1 = omega_power(m, m.generators[0])
-    og2 = omega_power(m, m.generators[1])
-    f = omega_power(m, mul(mul(og1, z), og2))
-    if f not in ideal.member or mul(f, f) != f:
+    idx, times = m.index, m.times
+    og1 = idx[omega_power(m, m.generators[0])]
+    og2 = idx[omega_power(m, m.generators[1])]
+    f = omega_power(m, m.elements[times(times(og1, idx[z]), og2)])
+    fi = idx[f]
+    if f not in ideal.member or times(fi, fi) != fi:
         raise InternalInconsistency("anchored element is not a kernel idempotent")
-    if mul(og1, f) != f or mul(f, og2) != f:
+    if times(og1, fi) != fi or times(fi, og2) != fi:
         raise InternalInconsistency("anchored idempotent does not absorb the generator omegas")
     rc = rees_coordinates(m, ideal, f)
     schutz = schutz_rep(m, rc)

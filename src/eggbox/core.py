@@ -57,8 +57,9 @@ class FiniteMonoid:
 
     ``right[i][t]`` is the index of x·a for the i-th element x and the t-th
     generator a: the right Cayley graph.  :func:`generate_monoid` hands in
-    the edges its closure made; a monoid built without them multiplies
-    them out here.
+    the edges its closure made, with the product associative on M, and
+    ``from_closure`` records that Green's left graph may be read off them;
+    a monoid built without them multiplies both graphs out.
     """
 
     __slots__ = (
@@ -70,6 +71,7 @@ class FiniteMonoid:
         "index",
         "words",
         "right",
+        "from_closure",
         "_green",
         "_ideal",
     )
@@ -82,6 +84,7 @@ class FiniteMonoid:
         self.generators = tuple(generators)
         self.index = index = {x: i for i, x in enumerate(self.elements)}
         self.words = words
+        self.from_closure = right is not None
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
         self.right = right
@@ -96,6 +99,14 @@ class FiniteMonoid:
 
     def __contains__(self, x):
         return x in self.index
+
+    def times(self, i: int, j: int) -> int:
+        """Index of x·y for the i-th element x and the j-th y, by associativity
+        y's witness word walked from x along ``right``: |w_y| lookups."""
+        right = self.right
+        for t in self.words[self.elements[j]]:
+            i = right[i][t]
+        return i
 
     def eval_word(self, word) -> Element:
         """Fold a tuple of generator indices into an element."""
@@ -293,12 +304,12 @@ def monoid_from_elements(
 
 
 def omega_power(m: FiniteMonoid, x: Element) -> Element:
-    """The unique idempotent positive power of ``x``."""
-    p = x
+    """The unique idempotent positive power of ``x``, by word walks."""
+    p = i = m.index[x]
     for _ in range(len(m.elements) + 1):
-        if m.mul(p, p) == p:
-            return p
-        p = m.mul(p, x)
+        if m.times(p, p) == p:
+            return m.elements[p]
+        p = m.times(p, i)
     raise InconsistentProduct(f"no idempotent power of {x!r} found")
 
 
@@ -317,15 +328,12 @@ class FiniteGroup(FiniteMonoid):
     @classmethod
     def from_monoid(cls, m: FiniteMonoid) -> "FiniteGroup":
         inverse = {}
-        for x in m.elements:
-            inv = None
-            for y in m.elements:
-                if m.mul(x, y) == m.identity and m.mul(y, x) == m.identity:
-                    inv = y
-                    break
-            if inv is None:
+        one = m.index[m.identity]
+        for i, x in enumerate(m.elements):
+            j = next((j for j in range(len(m)) if m.times(i, j) == one == m.times(j, i)), None)
+            if j is None:
                 raise InconsistentProduct(f"{x!r} has no two-sided inverse")
-            inverse[x] = inv
+            inverse[x] = m.elements[j]
         return cls(m, inverse)
 
     def __repr__(self):
@@ -591,6 +599,6 @@ class SubSemigroup:
     @property
     def idempotents(self) -> tuple:
         if self._idempotents is None:
-            mul = self.monoid.mul
-            self._idempotents = tuple(x for x in self.elements if mul(x, x) == x)
+            m, at = self.monoid, self.monoid.index
+            self._idempotents = tuple(x for x in self.elements if m.times(at[x], at[x]) == at[x])
         return self._idempotents

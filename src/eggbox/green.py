@@ -1,14 +1,16 @@
 """Green's relations, minimal ideals, maximal subgroups, Rees coordinates.
 
 The classification follows Froidure and Pin: the right Cayley graph of M
-over its generators has an edge x -> xa for every generator a, the left
-graph an edge x -> ax.  The right graph is the one the closure that
-enumerated M walked, kept on the monoid, so only the left graph costs
-products: |M||A| for a generating set A.  Since M is generated by A, y
-lies in xM exactly when a path leads from x to y in the right graph, so
-the R-classes are its strongly connected components; likewise the
-L-classes are those of the left graph and the J-classes those of the two
-graphs together, and H = R ∩ L.
+over its generators A has an edge x -> xa for every generator a, the
+left graph an edge x -> ax.  The right graph is the one the closure that
+enumerated M walked, kept on the monoid, and the left one follows from
+it with no product: for x = p·b on x's witness word, a·x = (a·p)·b.
+Later products of M, but for the maximal subgroup's table, are walks
+along the right graph (:meth:`~eggbox.core.FiniteMonoid.times`).  Since
+M is generated by A, y lies in xM exactly when a path leads from x to y
+in the right graph, so the R-classes are its strongly connected
+components; likewise the L-classes are those of the left graph and the
+J-classes those of the two graphs together, and H = R ∩ L.
 
 A J-class that no edge leaves is closed under the generators on both
 sides, hence an ideal; the minimal ideal is the one such class, and the
@@ -26,6 +28,7 @@ from .core import (
     FiniteMonoid,
     MonoidHom,
     SubSemigroup,
+    along_words,
     closure,
     generate_monoid,
     omega_power,
@@ -45,33 +48,20 @@ from .report import Check, ConstructionReport
 class GreenStructure:
     """Eggbox data of a monoid: the four partitions, in ``j_sinks`` the
     J-classes that no Cayley-graph edge leaves, i.e. those closed under the
-    generators on both sides, and the graphs themselves: ``right[i][t]`` and
-    ``left[i][t]`` are the indices of x·a and a·x for the i-th element x
-    and the t-th generator a."""
+    generators on both sides, and the left Cayley graph: ``left[i][t]`` is
+    the index of a·x for the i-th element x and the t-th generator a, as
+    ``right[i][t]`` of the monoid is that of x·a."""
 
-    __slots__ = (
-        "monoid",
-        "r_classes",
-        "l_classes",
-        "j_classes",
-        "h_classes",
-        "r_class_of",
-        "l_class_of",
-        "j_class_of",
-        "h_class_of",
-        "j_sinks",
-        "right",
-        "left",
-    )
+    __slots__ = ("monoid", "r_classes", "l_classes", "j_classes", "h_classes", "r_class_of",
+                 "l_class_of", "j_class_of", "h_class_of", "j_sinks", "left")
 
-    def __init__(self, monoid, r, l, j, h, j_sinks, right, left):
+    def __init__(self, monoid, r, l, j, h, j_sinks, left):
         self.monoid = monoid
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
         self.j_classes, self.j_class_of = j
         self.h_classes, self.h_class_of = h
         self.j_sinks = j_sinks
-        self.right = right
         self.left = left
 
 
@@ -149,11 +139,13 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
     if m._green is not None:
         return m._green
     els = m.elements
-    mul = m.mul
     idx = m.index
-    gens = m.generators
     right = m.right
-    left = [[idx[mul(a, x)] for a in gens] for x in els]
+    if m.from_closure:
+        # a·1 = 1·a, and a·x = (a·p)·b for x = p·b on its witness word
+        left = along_words(m, right[0], lambda row, b: [right[q][b] for q in row])
+    else:
+        left = [[idx[m.mul(a, x)] for a in m.generators] for x in els]
     both = [rx + lx for rx, lx in zip(right, left)]
     r_comp = _components(right)
     l_comp = _components(left)
@@ -175,7 +167,7 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
             if j_comp[w] != j_comp[i]:
                 exits.add(j_comp[i])
     j_sinks = tuple(ci for ci, cls in enumerate(j[0]) if j_comp[idx[cls[0]]] not in exits)
-    gs = GreenStructure(m, r, l, j, h, j_sinks, right, left)
+    gs = GreenStructure(m, r, l, j, h, j_sinks, left)
     m._green = gs
     return gs
 
@@ -206,17 +198,18 @@ def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[SubSemigroup] 
     """Group of units of eMe, read off Green's structure as the H-class of e
     in element order; each member must be fixed by e on both sides and lie
     in a supplied minimal ideal holding e, and the class must be a group."""
-    mul = m.mul
-    if mul(e, e) != e:
+    idx, times = m.index, m.times
+    ei = idx[e]
+    if times(ei, ei) != ei:
         raise NotIdempotent(f"{e!r} is not idempotent")
     gs = green_structure(m)
     units = gs.h_classes[gs.h_class_of[e]]
     for u in units:
-        if mul(e, u) != u or mul(u, e) != u:
+        if times(ei, idx[u]) != idx[u] or times(idx[u], ei) != idx[u]:
             raise InternalInconsistency(f"{u!r} in the H-class of e is not fixed by e")
     if ideal is not None and e in ideal and not all(u in ideal for u in units):
         raise InternalInconsistency("the H-class of a kernel idempotent leaves the minimal ideal")
-    gm = generate_monoid(units, mul, identity=e, name=f"G[{m.name}]")
+    gm = generate_monoid(units, m.mul, identity=e, name=f"G[{m.name}]")
     if len(gm.elements) != len(units):
         raise InternalInconsistency("unit set of eMe is not closed")
     return FiniteGroup.from_monoid(gm)
@@ -270,13 +263,13 @@ class ReesCoordinates:
 
 def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCoordinates:
     """Coordinatize the minimal ideal as a normalized Rees matrix semigroup,
-    checked on every generator edge by :func:`_check_rees_law`."""
-    mul = m.mul
+    checked on every generator edge by :func:`_check_rees_law`.  Products
+    of M are walks by element index (:meth:`FiniteMonoid.times`)."""
     if e not in ideal:
         raise NotInMinimalIdeal(f"{e!r} is not in the minimal ideal")
-    if mul(e, e) != e:
-        raise NotIdempotent(f"{e!r} is not idempotent")
+    idx, els, times = m.index, m.elements, m.times
     group = maximal_subgroup(m, e, ideal=ideal)
+    ei = idx[e]
     gset = set(group.elements)
 
     # row label of the R-class of x: the idempotent of the cell (R-class of
@@ -288,31 +281,31 @@ def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCo
     for x in ideal.elements:
         r, l = gs.r_class_of[x], gs.l_class_of[x]
         if r not in a_of:
-            a_of[r] = omega_power(m, mul(x, e))
+            a_of[r] = idx[omega_power(m, els[times(idx[x], ei)])]
         if l not in b_of:
-            b_of[l] = omega_power(m, mul(e, x))
+            b_of[l] = idx[omega_power(m, els[times(ei, idx[x])])]
     # e's own row and column come first, the others keep their order
-    a_labels = sorted(a_of.values(), key=lambda lab: lab != e)
-    b_labels = sorted(b_of.values(), key=lambda lab: lab != e)
+    a_labels = sorted(a_of.values(), key=lambda lab: lab != ei)
+    b_labels = sorted(b_of.values(), key=lambda lab: lab != ei)
 
     # rescale so row b0 and column a0 of the sandwich matrix become 1
     row_reps = []
     for ua in a_labels:
-        g = mul(e, ua)
+        g = els[times(ei, ua)]
         if g not in gset:
             raise InternalInconsistency("row rescaling factor escapes the maximal subgroup")
-        row_reps.append(mul(ua, group.inverse(g)))
+        row_reps.append(times(ua, idx[group.inverse(g)]))
     col_reps = []
     for vb in b_labels:
-        g = mul(vb, e)
+        g = els[times(vb, ei)]
         if g not in gset:
             raise InternalInconsistency("column rescaling factor escapes the maximal subgroup")
-        col_reps.append(mul(group.inverse(g), vb))
+        col_reps.append(times(idx[group.inverse(g)], vb))
 
     sandwich = {}
     for b, vb in enumerate(col_reps):
         for a, ua in enumerate(row_reps):
-            c = mul(vb, ua)
+            c = els[times(vb, ua)]
             if c not in gset:
                 raise InternalInconsistency("sandwich entry escapes the maximal subgroup")
             sandwich[(b, a)] = c
@@ -327,9 +320,9 @@ def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCo
     point = {}
     for a, ua in enumerate(row_reps):
         for g in group.elements:
-            uag = mul(ua, g)
+            uag = times(ua, idx[g])
             for b, vb in enumerate(col_reps):
-                x = mul(uag, vb)
+                x = els[times(uag, vb)]
                 if x not in ideal or x in coord:
                     raise InternalInconsistency("cell enumeration is not a bijection onto I")
                 coord[x] = (a, g, b)
@@ -337,7 +330,8 @@ def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCo
     if len(coord) != len(ideal.elements):
         raise InternalInconsistency("coordinate map misses part of the ideal")
 
-    rc = ReesCoordinates(m, ideal, e, group, tuple(row_reps), tuple(col_reps), sandwich, coord, point)
+    rc = ReesCoordinates(m, ideal, e, group, tuple(els[u] for u in row_reps),
+                         tuple(els[v] for v in col_reps), sandwich, coord, point)
     _check_rees_law(m, rc)
     return rc
 
@@ -374,7 +368,7 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
     # from I stay in I, the J-class that no edge leaves
     cix = {idx[x]: (a, gpos[g], b) for x, (a, g, b) in rc.coord.items()}
     gs = green_structure(m)
-    right, left = gs.right, gs.left
+    right, left = m.right, gs.left
     gens = range(len(m.generators))
     col_step = [[cix[right[idx[v]][t]][1:] for v in rc.col_reps] for t in gens]
     row_step = [[cix[left[idx[u]][t]][:2] for u in rc.row_reps] for t in gens]
@@ -397,12 +391,13 @@ def is_simple(s: SubSemigroup) -> bool:
     element xy lies in xS¹ = xyS¹, so x = xys lies in S¹yS¹ and S is one
     J-class; conversely a finite simple S is stable, so y in xS¹ with y J x
     gives y R x (Howie, Fundamentals of Semigroup Theory, 1995, ch. 3).
-    Costs |S|·|A| products for |A| generators.
+    Costs |S|·|A| word walks in M for |A| generators, and no product.
     """
-    pos = {x: i for i, x in enumerate(s.elements)}
-    mul = s.monoid.mul
+    m = s.monoid
+    pos = {m.index[x]: i for i, x in enumerate(s.elements)}
+    gens = [m.index[a] for a in s.generators]
     try:
-        succ = [[pos[mul(x, a)] for a in s.generators] for x in s.elements]
+        succ = [[pos[m.times(i, a)] for a in gens] for i in pos]
     except KeyError:
         raise NotClosed("a product with a generator escapes the subsemigroup") from None
     comp = _components(succ)
@@ -411,13 +406,15 @@ def is_simple(s: SubSemigroup) -> bool:
 
 def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     """The subsemigroup generated by the idempotents of S, which it records
-    as its generators."""
-    idem = s.idempotents
+    as its generators, closed over element indices by word walks in M."""
+    m = s.monoid
+    idem = [m.index[e] for e in s.idempotents]
     if not idem:
         raise NoIdempotents("no idempotents to generate from")
     # products of idempotent words are closed under concatenation
-    levels, _ = closure(idem, idem, s.monoid.mul)
-    return SubSemigroup(s.monoid, [x for level in levels for x in level], generators=idem)
+    levels, _ = closure(idem, idem, m.times, key=None)
+    return SubSemigroup(m, [m.elements[i] for level in levels for i in level],
+                        generators=s.idempotents)
 
 
 def check_min_ideal_image(phi: MonoidHom) -> ConstructionReport:

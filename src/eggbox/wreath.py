@@ -89,7 +89,7 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     must equal the listed simple part S plus the identity.  S is an ideal
     of M = S ∪ {1}, so it is simple exactly when it is M's minimal ideal,
     which one Green computation finds.  The closure costs |M|·|A|
-    products and Green's left Cayley graph another |M|·|A|.
+    products; Green reads its left Cayley graph off the closure's edges.
     """
     b = points if isinstance(points, int) else len(points)
     total = (len(g) ** b) * b + 1

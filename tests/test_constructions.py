@@ -106,9 +106,17 @@ def test_cover_products_are_linear_in_the_generators(monkeypatch):
     c = build_idempotent_cover(builtin_group("C3"), 6, mode="full")
     m = c.monoid
     assert (len(m), len(m.generators)) == (114, 2)
-    # closure, Green's left graph, the minimal ideal's idempotents and the
-    # Rees coordinates; an |M|² associativity table alone would be 12,996
-    assert count[0] <= 4 * len(m) * len(m.generators)
+    # the closure; Green's left graph, the minimal ideal's idempotents and
+    # the Rees coordinates are read off its edges (839 products when they
+    # were multiplied out); an |M|² associativity table alone would be 12,996
+    assert count[0] <= len(m) * len(m.generators) + 100
+    # the verifier's factorizations and the breadth-first closure of the
+    # idempotents are word walks too; multiplied out, build and verify
+    # took 4,996 products
+    report = verify_cover(c)
+    assert report.passed
+    assert any(ch.name == "idempotent-closure-exhaustive" for ch in report.checks)
+    assert count[0] <= 400
 
 
 def test_cover_cheap_mode_skips_enumeration():

@@ -265,10 +265,11 @@ def test_constant_wreath_products_are_linear_in_the_generators(monkeypatch):
     w = constant_wreath(builtin_group("S3"), 3)
     m = w.monoid
     assert (len(m), len(m.generators)) == (649, 39)  # |G|^(b-1) + b generators
-    # the closure and Green's left Cayley graph take 51,350 over a rule
-    # certified associative; an exact associativity test on an uncertified
+    # the closure takes 25,391 over a rule certified associative, and Green
+    # reads its left Cayley graph off the closure's edges (it multiplied
+    # out another 25,311); an exact associativity test on an uncertified
     # rule would add |M|² = 421,201
-    assert count[0] <= 6 * len(m) * len(m.generators)
+    assert count[0] <= len(m) * len(m.generators) + 100
 
 
 def test_constant_wreath_rejects_a_listed_non_constant_matrix(monkeypatch):
