@@ -7,13 +7,13 @@ and for every element a witness word over the generators.  A
 is passed wherever a monoid is expected and adds only inverses and
 element orders.
 
-Every generated set in the library comes from one breadth-first walk,
-:func:`closure`: monoids (:func:`generate_monoid`, and
+Monoids come from Froidure and Pin's walk, :func:`generate_monoid` (and
 :func:`monoid_from_elements` for a known closed set, which generates it
-from all of its elements), subgroups and normal closures, and the
-idempotent-generated subsemigroups.  A monoid keeps the closure's edges
-x -> x·a as its right Cayley graph, and :func:`along_words` extends a
-value along its witness words at one step per element.
+from all of its elements): it keeps both Cayley graphs, x -> x·a and
+x -> a·x, and multiplies only the right edges that shorter words do not
+give.  Other generated sets (subgroups, normal closures, idempotent
+spans) come from the breadth-first walk :func:`closure`, and
+:func:`along_words` extends a value along witness words.
 
 Both monoid builders validate what they return, exactly and at every
 size.  A product rule certified associative (see :mod:`eggbox.elements`)
@@ -56,10 +56,11 @@ class FiniteMonoid:
     """A fully enumerated finite monoid with generator witness words.
 
     ``right[i][t]`` is the index of x·a for the i-th element x and the t-th
-    generator a: the right Cayley graph.  :func:`generate_monoid` hands in
-    the edges its closure made, with the product associative on M, and
-    ``from_closure`` records that Green's left graph may be read off them;
-    a monoid built without them multiplies both graphs out.
+    generator a: the right Cayley graph; ``left[i][t]``, that of a·x, is
+    the left one.  :func:`generate_monoid` hands in both graphs of its
+    enumeration, with the product associative on M; a monoid built without
+    them multiplies the right graph out here and Green's classification
+    (:func:`~eggbox.green.green_structure`) multiplies the left one out.
     """
 
     __slots__ = (
@@ -71,12 +72,12 @@ class FiniteMonoid:
         "index",
         "words",
         "right",
-        "from_closure",
+        "left",
         "_green",
         "_ideal",
     )
 
-    def __init__(self, name, elements, mul, identity, generators, words, right=None):
+    def __init__(self, name, elements, mul, identity, generators, words, right=None, left=None):
         self.name = name
         self.elements = tuple(elements)
         self.mul = mul
@@ -84,10 +85,10 @@ class FiniteMonoid:
         self.generators = tuple(generators)
         self.index = index = {x: i for i, x in enumerate(self.elements)}
         self.words = words
-        self.from_closure = right is not None
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
         self.right = right
+        self.left = left
         self._green = None
         self._ideal = None
 
@@ -135,6 +136,10 @@ def _check_light(mul, elements, index, right):
     (x·z)·y = ((x·z′)·a)·y = (x·z′)·(a·y) = x·(z′·(a·y)) = x·((z′·a)·y) = x·(z·y),
     using the case of z′ with y = a and with y = a·y, and Light's test
     twice; the induction starts from z = 1, which is neutral.
+
+    The column y = 1 compares each edge x·a of ``right`` with the product
+    x·a itself, so it also validates the edges :func:`generate_monoid`
+    deduced by associativity rather than multiplied.
     """
     n = len(elements)
     try:
@@ -157,7 +162,7 @@ def _check_light(mul, elements, index, right):
                     f"associativity fails on ({elements[i]!r}, {elements[a]!r}, {elements[j]!r})")
 
 
-def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key"), succ=None):
+def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
     """Breadth-first closure of ``start`` under x -> step(x, g), g in ``gens``.
 
     Returns ``(levels, words)``.  ``levels[0]`` holds the distinct start
@@ -166,9 +171,7 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key"), su
     that walk element indices pass ``None`` to sort them by value), so the
     levels do not depend on the order of ``gens``.  ``words[x]`` is the
     tuple of generator indices along which x was first reached, () for a
-    start element; it doubles as the membership test.  When ``succ`` is a
-    list, the row [step(x, g) for g in gens] of every element x is appended
-    to it in the order of the returned levels.  Raises
+    start element; it doubles as the membership test.  Raises
     :class:`CapExceeded` once a level takes the count past ``cap``.
     """
     words = {}
@@ -189,13 +192,11 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key"), su
         fresh = []
         for x in level:
             wx = words[x]
-            row = [step(x, g) for g in gens]
-            for gi, y in enumerate(row):
+            for gi, g in enumerate(gens):
+                y = step(x, g)
                 if y not in words:
                     words[y] = wx + (gi,)
                     fresh.append(y)
-            if succ is not None:
-                succ.append(row)
         level = fresh
     return levels, words
 
@@ -224,12 +225,22 @@ def generate_monoid(
     identity: Optional[Element] = None,
     name: Optional[str] = None,
 ) -> FiniteMonoid:
-    """Breadth-first closure of ``seeds`` under ``product_rule``.
+    """Closure of ``seeds`` under ``product_rule``, with both Cayley graphs.
 
     Returns the smallest product-closed set containing the seeds and the
     identity, as a :class:`FiniteMonoid` whose element order is breadth-first
     by word length with ties broken by canonical key.  The witness word
-    recorded for each element is its first discovery.
+    recorded for each element is its first discovery, scanning each level
+    in order, element by element and generator by generator.
+
+    The walk is Froidure and Pin's ("Algorithms for computing finite
+    semigroups", 1997), level by level on element indices.  Each x = p·b
+    keeps its first letter f and suffix s, x = f·s, with suffix(p·b) =
+    suffix(p)·b.  When r = s·a lies on an earlier level than x, the right
+    edge x·a = f·r is a left edge of r; otherwise it costs a product, the
+    only kind that can find a new element.  A level's left edges then
+    follow with no product, a·x = (a·p)·b.  The cost is one product per
+    right edge not so deduced: about |M| for a wreath or a cover.
 
     The identity is inferred for transformation seeds and must be supplied
     for the other element kinds.  Raises :class:`CapExceeded` when the
@@ -243,8 +254,8 @@ def generate_monoid(
     for the seeds: then 1·x = (1·x′)·a = x′·a = x and x·1 = x′·(a·1) = x
     along witness words.  Any other rule gets the identity checked on every
     element and Light's test on all of M (:func:`_check_light`), at |M|²
-    products; a table rule whose whole table the closure covers is then
-    certified for later closures.
+    products, which also checks every deduced edge; a table rule whose
+    whole table the closure covers is then certified for later closures.
     """
     seeds = list(seeds)
     if identity is None:
@@ -259,24 +270,53 @@ def generate_monoid(
     # word is (gi,) for its first gi
     _check_identity(product_rule, identity, [identity] + seeds)
 
-    def step(x, g):
-        y = product_rule(x, g)
-        if not isinstance(y, Element) or not same_shape(identity, y):
-            raise InconsistentProduct(f"product of {x!r} and {g!r} is {y!r}")
-        return y
-
-    right = []
-    levels, words = closure([identity], seeds, step, cap, succ=right)
-    elements = [x for level in levels for x in level]
-    index = {x: i for i, x in enumerate(elements)}
-    for row in right:  # successors x·a, replaced by their indices
-        row[:] = map(index.__getitem__, row)
+    elements, index, words, right, left = [], {}, {}, [], []
+    origin = []  # (p, b, f, s) for x = p·b = f·s, with first letter f and suffix s
+    fresh, pending = {identity: None}, []  # the next level, each found as (p, b, s)
+    start = end = 0  # the level walked is elements[start:end]
+    while True:
+        count = end + len(fresh)
+        if count > cap:
+            raise CapExceeded(cap, count)
+        for y in sorted(fresh, key=attrgetter("key")):
+            p, b, s = fresh[y] or (None, None, None)
+            words[y] = () if p is None else words[elements[p]] + (b,)
+            origin.append((p, b, origin[p][2] if p else b, s))
+            index[y] = len(elements)
+            elements.append(y)
+        for row, t, y in pending:
+            row[t] = index[y]
+        # a·1 = 1·a, and a·x = (a·p)·b
+        for x in range(start, end):
+            p, b = origin[x][:2]
+            left.append([right[q][b] for q in left[p]] if x else right[0])
+        if not fresh:
+            break
+        start, end = end, count
+        fresh, pending = {}, []
+        for x in range(start, end):
+            f, s = origin[x][2:]
+            row = []
+            for t, a in enumerate(seeds):
+                r = right[s][t] if x else 0
+                if r < start:  # x·a = f·(s·a), a left edge of an earlier level
+                    row.append(left[r][f])
+                    continue
+                y = product_rule(elements[x], a)
+                if not isinstance(y, Element) or not same_shape(identity, y):
+                    raise InconsistentProduct(f"product of {elements[x]!r} and {a!r} is {y!r}")
+                j = index.get(y)
+                if j is None:
+                    fresh.setdefault(y, (x, t, r))
+                    pending.append((row, t, y))
+                row.append(j)
+            right.append(row)
     if not getattr(product_rule, "associative", False):
         _check_light(product_rule, elements, index, right)
         carrier = getattr(product_rule, "carrier", None)
         if carrier is not None and all(x in index for x in carrier):
             product_rule.associative = True
-    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right)
+    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right, left)
 
 
 def monoid_from_elements(

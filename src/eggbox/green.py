@@ -2,10 +2,10 @@
 
 The classification follows Froidure and Pin: the right Cayley graph of M
 over its generators A has an edge x -> xa for every generator a, the
-left graph an edge x -> ax.  The right graph is the one the closure that
-enumerated M walked, kept on the monoid, and the left one follows from
-it with no product: for x = p·b on x's witness word, a·x = (a·p)·b.
-Later products of M, but for the maximal subgroup's table, are walks
+left graph an edge x -> ax.  Both are kept on the monoid by the
+enumeration that found M (:func:`~eggbox.core.generate_monoid`), which
+reads the left one off the right one with no product: for x = p·b on x's
+witness word, a·x = (a·p)·b.  Later products of M, but for the maximal subgroup's table, are walks
 along the right graph (:meth:`~eggbox.core.FiniteMonoid.times`).  Since
 M is generated by A, y lies in xM exactly when a path leads from x to y
 in the right graph, so the R-classes are its strongly connected
@@ -28,7 +28,6 @@ from .core import (
     FiniteMonoid,
     MonoidHom,
     SubSemigroup,
-    along_words,
     closure,
     generate_monoid,
     omega_power,
@@ -141,10 +140,8 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
     els = m.elements
     idx = m.index
     right = m.right
-    if m.from_closure:
-        # a·1 = 1·a, and a·x = (a·p)·b for x = p·b on its witness word
-        left = along_words(m, right[0], lambda row, b: [right[q][b] for q in row])
-    else:
+    left = m.left
+    if left is None:
         left = [[idx[m.mul(a, x)] for a in m.generators] for x in els]
     both = [rx + lx for rx, lx in zip(right, left)]
     r_comp = _components(right)

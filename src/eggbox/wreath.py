@@ -88,8 +88,8 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     kinds are the identity, so G's own generators stand in.  The closure
     must equal the listed simple part S plus the identity.  S is an ideal
     of M = S ∪ {1}, so it is simple exactly when it is M's minimal ideal,
-    which one Green computation finds.  The closure costs |M|·|A|
-    products; Green reads its left Cayley graph off the closure's edges.
+    which one Green computation finds, on the Cayley graphs the enumeration
+    kept.  It multiplies about |M| of the |M|·|A| right edges, not all.
     """
     b = points if isinstance(points, int) else len(points)
     total = (len(g) ** b) * b + 1

@@ -88,7 +88,9 @@ def test_cover_sizes():
         assert size == (2 * n if len(h) == 1 else n + n * n * len(h))
 
 
-def test_cover_products_are_linear_in_the_generators(monkeypatch):
+def counting_rowmono_products(monkeypatch):
+    """A counter of the row-monomial products the constructions make from
+    now on."""
     count = [0]
     make_rule = constructions.make_rowmono_mul
 
@@ -103,20 +105,37 @@ def test_cover_products_are_linear_in_the_generators(monkeypatch):
         return counted
 
     monkeypatch.setattr(constructions, "make_rowmono_mul", counting_rule)
+    return count
+
+
+def test_cover_products_are_linear_in_the_generators(monkeypatch):
+    count = counting_rowmono_products(monkeypatch)
     c = build_idempotent_cover(builtin_group("C3"), 6, mode="full")
     m = c.monoid
     assert (len(m), len(m.generators)) == (114, 2)
-    # the closure; Green's left graph, the minimal ideal's idempotents and
-    # the Rees coordinates are read off its edges (839 products when they
-    # were multiplied out); an |M|² associativity table alone would be 12,996
-    assert count[0] <= len(m) * len(m.generators) + 100
+    # the enumeration deduces most right edges from shorter words and keeps
+    # both Cayley graphs; Green, the minimal ideal's idempotents and the
+    # Rees coordinates read them (260 products when every right edge was
+    # multiplied, and 839 more when they multiplied theirs); an |M|²
+    # associativity table alone would be 12,996
+    assert count[0] <= 152
     # the verifier's factorizations and the breadth-first closure of the
     # idempotents are word walks too; multiplied out, build and verify
     # took 4,996 products
     report = verify_cover(c)
     assert report.passed
     assert any(ch.name == "idempotent-closure-exhaustive" for ch in report.checks)
-    assert count[0] <= 400
+    assert count[0] <= 189
+
+
+def test_s3_cover_products_stay_near_its_size(monkeypatch):
+    count = counting_rowmono_products(monkeypatch)
+    c = build_idempotent_cover(builtin_group("S3"), 23, mode="full")
+    assert len(c.monoid) == 3197
+    assert verify_cover(c).passed
+    # build and verify made 6,601 products when the closure multiplied
+    # every right edge, |M|·|A| = 6,394 of them
+    assert count[0] <= 4500
 
 
 def test_cover_cheap_mode_skips_enumeration():

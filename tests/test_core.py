@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from eggbox.acceptance import COVER_GROUPS, PSI_GROUPS, PSI_POINTS
+from eggbox.constructions import build_idempotent_cover, cover_modulus_bound
 from eggbox.core import (
     FiniteGroup,
     FiniteMonoid,
@@ -29,6 +33,7 @@ from eggbox.errors import (
 )
 from eggbox.groups import builtin_group, cyclic, symmetric
 from eggbox.oracles import naive_omega_power
+from eggbox.wreath import constant_wreath
 
 
 def full_transformation_monoid(n):
@@ -143,6 +148,105 @@ def test_closure_levels_do_not_depend_on_generator_order():
         assert acc == x
     with pytest.raises(CapExceeded):
         closure([g.identity], gens, g.mul, cap=5)
+
+
+def plain_walk(m):
+    """Oracle: M's element keys, witness words and both Cayley graphs from
+    the plain breadth-first walk, with every edge multiplied out."""
+    levels, words = closure([m.identity], m.generators, m.mul)
+    elements = [x for level in levels for x in level]
+    at = {x: i for i, x in enumerate(elements)}
+    right = [[at[m.mul(x, a)] for a in m.generators] for x in elements]
+    left = [[at[m.mul(a, x)] for a in m.generators] for x in elements]
+    return [x.key for x in elements], words, right, left
+
+
+def table_monoid(m, extra=0):
+    """M as a multiplication table over M's indices, an uncertified rule,
+    with ``extra`` zeros adjoined past M: (table, seeds, identity)."""
+    n = len(m)
+    table = [[m.index[m.mul(x, y)] for y in m.elements] + [n] * extra for x in m.elements]
+    table += [[n] * (n + extra) for _ in range(extra)]
+    seeds = [table_element("t", m.index[g]) for g in m.generators]
+    return table, seeds, table_element("t", 0)
+
+
+def random_transformation_monoids(count, seed):
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rnd.randint(2, 5)
+        seeds = [transformation([rnd.randrange(d) for _ in range(d)]) for _ in range(rnd.randint(1, 3))]
+        try:
+            out.append(generate_monoid(seeds, compose_transformations, cap=400))
+        except CapExceeded:
+            pass
+    return out
+
+
+def test_enumeration_matches_the_plain_walk():
+    t4 = full_transformation_monoid(4)
+    table, seeds, one = table_monoid(full_transformation_monoid(3))
+    monoids = [t4, generate_monoid(seeds, make_table_mul(table, "t"), identity=one)]
+    for name in COVER_GROUPS:
+        h = builtin_group(name)
+        monoids.append(build_idempotent_cover(h, cover_modulus_bound(h)).monoid)
+    monoids.append(build_idempotent_cover(builtin_group("S3"), 23, mode="full").monoid)
+    for name in PSI_GROUPS:
+        monoids += [constant_wreath(builtin_group(name), b).monoid for b in PSI_POINTS]
+    assert len(monoids) == 2 + 5 + 1 + 18
+    assert sum(map(len, monoids)) == 256 + 27 + 511 + 3197 + 1336
+    monoids += random_transformation_monoids(200, seed=14)
+    for m in monoids:
+        assert ([x.key for x in m.elements], m.words, m.right, m.left) == plain_walk(m)
+
+
+def test_a_wrong_deduced_edge_is_rejected():
+    # the right edges of T4 that the enumeration deduces rather than
+    # multiplies, found by recording the products of a certified rule
+    t4 = full_transformation_monoid(4)
+    multiplied = set()
+
+    def recording(x, y):
+        multiplied.add((x, y))
+        return compose_transformations(x, y)
+
+    recording.associative = True
+    generate_monoid(t4.generators, recording)
+    deduced = [(i, t) for i, x in enumerate(t4.elements)
+               for t, a in enumerate(t4.generators) if (x, a) not in multiplied]
+    assert len(deduced) == 366
+    # a table with a zero adjoined, so that a wrong entry can name an
+    # element inside the closure or one outside it
+    for i, t in (deduced[0], deduced[-1]):
+        a = t4.index[t4.generators[t]]
+        for wrong in ((t4.right[i][t] + 1) % len(t4), len(t4)):
+            table, seeds, one = table_monoid(t4, extra=1)
+            table[i][a] = wrong
+            with pytest.raises(InconsistentProduct):
+                generate_monoid(seeds, make_table_mul(table, "t"), identity=one)
+
+
+def cap_exceeded(walk):
+    """(cap, count) of the CapExceeded that ``walk()`` raises, or None."""
+    try:
+        walk()
+    except CapExceeded as exc:
+        return exc.cap, exc.reached
+    return None
+
+
+def test_cap_exceeded_matches_the_plain_walk():
+    m = build_idempotent_cover(builtin_group("C3"), 6).monoid
+    levels, _ = closure([m.identity], m.generators, m.mul)
+    boundaries = [sum(map(len, levels[:k])) for k in range(1, len(levels) + 1)]
+    assert boundaries[-1] == len(m) == 114
+    for cap in sorted({b + d for b in boundaries for d in (-1, 0)}):
+        expected = cap_exceeded(lambda: closure([m.identity], m.generators, m.mul, cap=cap))
+        assert (expected is None) == (cap >= len(m))
+        assert cap_exceeded(lambda: generate_monoid(m.generators, m.mul, cap=cap, identity=m.identity)) == expected
+    with pytest.raises(NotClosed):
+        monoid_from_elements(m.elements[:-1], m.mul, m.identity)
 
 
 def test_group_from_monoid_rejects_non_group():

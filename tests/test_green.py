@@ -53,9 +53,9 @@ def test_green_counts_on_full_transformation_monoid():
 
 
 def test_green_products_are_linear_in_the_generators():
-    # T4 from three generators: the closure kept the right Cayley graph and
-    # Green reads the left one off it, with no product; multiplying it out
-    # took |M||A| = 768, and per-element ideals 2|M|^2 = 131,072
+    # T4 from three generators: the enumeration kept both Cayley graphs, so
+    # Green makes no product; multiplying the left one out took
+    # |M||A| = 768, and per-element ideals 2|M|^2 = 131,072
     count = [0]
 
     def counting(a, b):
@@ -96,11 +96,11 @@ def test_left_graph_read_off_the_closure_matches_products():
         monoids.append(build_idempotent_cover(builtin_group(name), n, mode="full").monoid)
     assert [len(m) for m in monoids] == [256, 27, 25, 21, 80, 737]
     for m in monoids:
-        assert m.from_closure
+        assert m.left is not None
         assert green_structure(m).left == multiplied_left_graph(m)
     # a monoid handed no edges multiplies both graphs out
     bare = FiniteMonoid("T4-bare", t4.elements, t4.mul, t4.identity, t4.generators, t4.words)
-    assert not bare.from_closure
+    assert bare.left is None
     assert green_structure(bare).left == multiplied_left_graph(t4)
 
 
