@@ -4,8 +4,8 @@ A :class:`FiniteMonoid` is a fully enumerated monoid: a tuple of elements
 with the identity first, a product function, a distinguished generator list,
 and for every element a witness word over the generators.  A
 :class:`FiniteGroup` is a finite monoid whose elements are all units: it
-is passed wherever a monoid is expected and adds only inverses and
-element orders.
+is passed wherever a monoid is expected and adds its Cayley table, which
+every group computation reads instead of multiplying elements.
 
 Monoids come from Froidure and Pin's walk, :func:`generate_monoid` (and
 :func:`monoid_from_elements` for a known closed set, which generates it
@@ -354,47 +354,60 @@ def omega_power(m: FiniteMonoid, x: Element) -> Element:
 
 
 class FiniteGroup(FiniteMonoid):
-    """A :class:`FiniteMonoid` whose elements are all units, with their
-    inverses.  It shares every field of the monoid it is made from."""
+    """A :class:`FiniteMonoid` whose elements are all units.  It shares every
+    field of the monoid it is made from and adds its Cayley table:
+    ``table[i][j]`` is the index of x·y for the i-th element x and the j-th
+    y, with the identity at index 0; inverses and orders are read off it."""
 
-    __slots__ = ("_inverse", "_orders")
+    __slots__ = ("table", "_inverse", "_orders")
 
-    def __init__(self, monoid: FiniteMonoid, inverse: dict):
+    def __init__(self, monoid: FiniteMonoid, table, inverse):
         for slot in FiniteMonoid.__slots__:
             setattr(self, slot, getattr(monoid, slot))
+        self.table = table
         self._inverse = inverse
-        self._orders = None
+        self._orders = _element_orders(table)
 
     @classmethod
     def from_monoid(cls, m: FiniteMonoid) -> "FiniteGroup":
-        inverse = {}
-        one = m.index[m.identity]
-        for i, x in enumerate(m.elements):
-            j = next((j for j in range(len(m)) if m.times(i, j) == one == m.times(j, i)), None)
-            if j is None:
-                raise InconsistentProduct(f"{x!r} has no two-sided inverse")
-            inverse[x] = m.elements[j]
-        return cls(m, inverse)
+        """The group on a monoid whose elements are all units, at |M|²
+        lookups and no product.  Column y of the table, x·y for every x,
+        follows from the column of y's word prefix along the right Cayley
+        graph (:func:`along_words`), since y = y′·a gives x·y = (x·y′)·a:
+        associativity, which :func:`generate_monoid` established."""
+        right = m.right
+        columns = along_words(m, list(range(len(m))), lambda column, a: [right[t][a] for t in column])
+        table = list(zip(*columns))
+        inverse = [column.index(0) if 0 in column else None for column in columns]
+        for j, i in enumerate(inverse):
+            if i is None or table[j][i] != 0:
+                raise InconsistentProduct(f"{m.elements[j]!r} has no two-sided inverse")
+        return cls(m, table, inverse)
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order {len(self)})"
 
     def inverse(self, x: Element) -> Element:
-        return self._inverse[x]
+        return self.elements[self._inverse[self.index[x]]]
 
     def order_of(self, x: Element) -> int:
-        k = 1
-        p = x
-        while p != self.identity:
-            p = self.mul(p, x)
-            k += 1
-        return k
+        return self._orders[self.index[x]]
 
     def order_profile(self):
         """Sorted tuple of element orders, an isomorphism invariant."""
-        if self._orders is None:
-            self._orders = tuple(sorted(self.order_of(x) for x in self.elements))
-        return self._orders
+        return tuple(sorted(self._orders))
+
+
+def _element_orders(table) -> list:
+    """The order of every element of a group table, identity at index 0."""
+    orders = []
+    for x, row in enumerate(table):
+        k, p = 1, x
+        while p:
+            p = table[p][x]
+            k += 1
+        orders.append(k)
+    return orders
 
 
 def underlying(obj) -> FiniteMonoid:
@@ -513,78 +526,81 @@ def canonical_section(alpha: MonoidHom) -> dict:
     return {k: mapping[k] for k in alpha.target.elements}
 
 
-def small_generating_set(g: FiniteGroup):
-    """Greedy generating set: repeatedly adjoin the least element outside
-    the subgroup generated so far."""
+def table_isomorphism(t1, t2) -> Optional[list]:
+    """An isomorphism between two group tables with the identity at index
+    0, as the list of images of t1's indices, or None.  Exhaustive
+    backtracking over the images, of equal order, of a greedy generating
+    set of t1; a map :func:`_close_with_map` completes to all of t1 is an
+    isomorphism, as it checks f(x·g) = f(x)·f(g) on every x and g."""
+    if len(t1) != len(t2):
+        return None
+    o1, o2 = _element_orders(t1), _element_orders(t2)
+    if sorted(o1) != sorted(o2):
+        return None
+
     gens = []
-    closed = {g.identity}
-    for x in g.elements:
+    closed = {0}
+    for x in range(len(t1)):
         if x not in closed:
             gens.append(x)
-            closed = closure([g.identity], gens, g.mul)[1]
-    return gens
-
-
-def _close_with_map(g1: FiniteGroup, g2: FiniteGroup, gen_images):
-    """Close the partial assignment; None when it breaks injectivity or
-    well-definedness on some (element, generator) pair."""
-    emap = {g1.identity: g2.identity}
-    used = {g2.identity}
-    elems = [g1.identity]
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        fx = emap[x]
-        for g, y in gen_images:
-            xg = g1.mul(x, g)
-            fxy = g2.mul(fx, y)
-            cur = emap.get(xg)
-            if cur is None:
-                if fxy in used:
-                    return None
-                emap[xg] = fxy
-                used.add(fxy)
-                elems.append(xg)
-            elif cur != fxy:
-                return None
-    return emap
-
-
-def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[MonoidHom]:
-    """Search for an isomorphism; returns a verified MonoidHom or None.
-
-    Exhaustive backtracking over generator images filtered by element order,
-    bounded at ``ISOMORPHISM_LIMIT`` = 200 elements.
-    """
-    if len(g1) > ISOMORPHISM_LIMIT or len(g2) > ISOMORPHISM_LIMIT:
-        raise SizeExceeded(f"isomorphism search above {ISOMORPHISM_LIMIT} elements")
-    if len(g1) != len(g2):
-        return None
-    if g1.order_profile() != g2.order_profile():
-        return None
-    gens = small_generating_set(g1)
+            closed = closure([0], gens, lambda y, g: t1[y][g], key=None)[1]
     by_order = {}
-    for y in g2.elements:
-        by_order.setdefault(g2.order_of(y), []).append(y)
+    for y, k in enumerate(o2):
+        by_order.setdefault(k, []).append(y)
 
     def dfs(chosen):
-        emap = _close_with_map(g1, g2, list(zip(gens, chosen)))
-        if emap is None:
+        f = _close_with_map(t1, t2, list(zip(gens, chosen)))
+        if f is None:
             return None
         if len(chosen) == len(gens):
-            return emap if len(emap) == len(g1) else None
-        g = gens[len(chosen)]
-        for y in by_order.get(g1.order_of(g), ()):
+            return f if None not in f else None
+        for y in by_order.get(o1[gens[len(chosen)]], ()):
             result = dfs(chosen + [y])
             if result is not None:
                 return result
         return None
 
-    emap = dfs([])
-    if emap is None:
+    return dfs([])
+
+
+def _close_with_map(t1, t2, gen_images):
+    """Close the partial assignment, as a list with None for the elements
+    it does not reach; None when it breaks injectivity or
+    well-definedness on some (element, generator) pair."""
+    f = [None] * len(t1)
+    f[0] = 0
+    used = {0}
+    elems = [0]
+    for x in elems:
+        fx = f[x]
+        for g, y in gen_images:
+            xg = t1[x][g]
+            fxy = t2[fx][y]
+            cur = f[xg]
+            if cur is None:
+                if fxy in used:
+                    return None
+                f[xg] = fxy
+                used.add(fxy)
+                elems.append(xg)
+            elif cur != fxy:
+                return None
+    return f
+
+
+def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[MonoidHom]:
+    """Search for an isomorphism; returns a verified MonoidHom or None.
+
+    The search runs on the two Cayley tables (:func:`table_isomorphism`),
+    bounded at ``ISOMORPHISM_LIMIT`` = 200 elements; the map it finds is
+    validated again with element products as a :class:`MonoidHom`.
+    """
+    if len(g1) > ISOMORPHISM_LIMIT or len(g2) > ISOMORPHISM_LIMIT:
+        raise SizeExceeded(f"isomorphism search above {ISOMORPHISM_LIMIT} elements")
+    f = table_isomorphism(g1.table, g2.table)
+    if f is None:
         return None
-    return MonoidHom(g1, g2, emap)
+    return MonoidHom(g1, g2, {x: g2.elements[j] for x, j in zip(g1.elements, f)})
 
 
 def product_group(groups, name: Optional[str] = None) -> FiniteGroup:

@@ -340,11 +340,8 @@ def _sanitize(name: str) -> str:
 def group_as_lines(g, name: Optional[str] = None):
     """Declaration lines for a group, as an explicit table in element order."""
     name = name or _sanitize(g.name)
-    k = len(g.elements)
-    rows = []
-    for a in g.elements:
-        rows.append(" ".join(str(g.index[g.mul(a, b)] + 1) for b in g.elements))
-    return name, [f"group {name} table {k}: " + "; ".join(rows)]
+    rows = [" ".join(str(v + 1) for v in row) for row in g.table]
+    return name, [f"group {name} table {len(rows)}: " + "; ".join(rows)]
 
 
 def cover_as_lines(c):

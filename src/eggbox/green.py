@@ -341,7 +341,7 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
     with coord(x) = (i, g, λ) must have coord(x·a) = (i, g·h, λ′) and
     coord(a·x) = (i′, k·g, λ); also coord(p) = (0, p, 0) for p in G,
     coord(u_i) = (i, 1, 0) and coord(v_λ) = (0, 1, λ).  x·a and a·x are
-    read off the stored edges and G multiplies by a table: |G|² products.
+    read off the stored edges and G multiplies by its Cayley table.
 
     This suffices when the product is associative, which generate_monoid
     establishes for every monoid it returns, by a certified product rule
@@ -354,9 +354,7 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
     """
     idx = m.index
     one = rc.group.identity
-    gels = rc.group.elements
-    gpos = {p: k for k, p in enumerate(gels)}
-    gtab = [[gpos[m.mul(p, q)] for q in gels] for p in gels]
+    gels, gpos, gtab = rc.group.elements, rc.group.index, rc.group.table
     anchors = [(p, (0, p, 0)) for p in gels] + [(u, (i, one, 0)) for i, u in enumerate(rc.row_reps)]
     for x, want in anchors + [(v, (0, one, b)) for b, v in enumerate(rc.col_reps)]:
         if rc.coord.get(x) != want:

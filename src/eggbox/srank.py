@@ -4,15 +4,14 @@ For a finite simple group S, m_s(G) is the intersection of all normal
 subgroups of G whose quotient is isomorphic to S (all of G when there are
 none), and the S-rank r_s(G) is the k with G/m_s(G) isomorphic to S^k.
 
-The quadratic work runs over element indices.  A public call that needs
-it compiles the group once into an integer Cayley table from the right
-Cayley graph its closure kept, with no group products, and from then on
-only looks entries up: :func:`normal_subgroups` takes one normal closure
-per conjugacy class and joins them, and the elementary-abelian check of a
-prime-order S reads every commutator and p-th power off the table.
-Filling the table from the generator edges relies on associativity, which
-:func:`~eggbox.core.generate_monoid` establishes exactly for every group
-it builds.  Nothing keeps a table between calls.
+The quadratic work runs over element indices, on the Cayley table every
+:class:`~eggbox.core.FiniteGroup` carries, and only looks entries up:
+:func:`normal_subgroups` takes one normal closure per conjugacy class and
+joins them, a candidate kernel N is tested by the table isomorphism search
+between the coset table of G/N and that of S, with no quotient group built,
+and the elementary-abelian check of a prime-order S reads every commutator
+and p-th power off the table.  Only the kernel :func:`r_s` returns becomes a
+group, through :func:`quotient_group`.
 
 A deliberately naive oracle in :mod:`eggbox.oracles` walks the full
 subgroup lattice with element products, so the two can be compared on
@@ -26,13 +25,11 @@ from typing import Optional
 from .core import (
     FiniteGroup,
     MonoidHom,
-    along_words,
     closure,
     direct_power,
     is_isomorphic,
-    monoid_from_elements,
+    table_isomorphism,
 )
-from .elements import make_table_mul, table_element
 from .errors import (
     InternalInconsistency,
     NotSimple,
@@ -40,38 +37,23 @@ from .errors import (
     NotWellDefined,
     SizeExceeded,
 )
+from .groups import group_from_table
 from .report import FAIL, PASS, Check, ConstructionReport
 
 NORMAL_LIMIT = 200
 
 
-def _cayley_table(g: FiniteGroup):
-    """``(table, inverse)`` over element indices: ``table[x][y]`` is the
-    index of x·y and ``inverse[x]`` that of x⁻¹.
-
-    The right Cayley graph x -> x·a, a a generator, is the one the group's
-    closure kept.  Column y, which holds x·y for every x, follows from the
-    column of y's word prefix by lookups (:func:`~eggbox.core.along_words`),
-    since y = y′·a gives x·y = (x·y′)·a.  That step is associativity,
-    which ``generate_monoid`` established for the group, by a certified
-    product rule or by Light's exact test.
-    """
-    right = g.right
-    columns = along_words(g, list(range(len(g))), lambda column, a: [right[t][a] for t in column])
-    e = g.index[g.identity]
-    inverse = [column.index(e) for column in columns]
-    return list(zip(*columns)), inverse
-
-
 def is_normal(g: FiniteGroup, sub) -> bool:
-    """Conjugation by the generators preserves the set."""
-    mul = g.mul
-    member = set(sub)
-    for s in g.generators:
-        si = g.inverse(s)
-        for v in member:
-            if mul(mul(si, v), s) not in member:
-                return False
+    """Conjugation by the generators preserves the set, read off the
+    group's table; a set with an element outside G is not normal in G."""
+    table, inverse = g.table, g._inverse
+    member = {g.index.get(x) for x in sub}
+    if None in member:
+        return False
+    for s in (g.index[a] for a in g.generators):
+        row = table[inverse[s]]
+        if any(table[row[v]][s] not in member for v in member):
+            return False
     return True
 
 
@@ -81,19 +63,16 @@ def normal_subgroups(g: FiniteGroup):
     Every normal subgroup is the join of the normal closures of its
     elements, and conjugate elements share one, so the join closure of
     the normal closures of the conjugacy classes is complete.  The walks
-    run over the compiled Cayley table: a class is the closure of one
+    run over the group's Cayley table: a class is the closure of one
     element under conjugation by the generators, its normal closure the
     subgroup the class generates, and the join of normal N and P the set
-    product N·P, the right closure of N under P∖N.  The table is read off
-    the group's right Cayley graph, which relies on associativity (see
-    :func:`_cayley_table`); everything is lookups.  Raises
-    :class:`SizeExceeded` above ``NORMAL_LIMIT`` = 200 elements.
+    product N·P, the right closure of N under P∖N.  Everything is lookups.
+    Raises :class:`SizeExceeded` above ``NORMAL_LIMIT`` = 200 elements.
     """
     if len(g.elements) > NORMAL_LIMIT:
         raise SizeExceeded(
             f"normal subgroup enumeration above {NORMAL_LIMIT} elements")
-    table, inverse = _cayley_table(g)
-    e = g.index[g.identity]
+    table, inverse = g.table, g._inverse
     gens = [g.index[s] for s in g.generators]
 
     def times(x, y):
@@ -109,9 +88,9 @@ def normal_subgroups(g: FiniteGroup):
             continue
         cls = closure([x], gens, conjugate, key=None)[1]
         seen.update(cls)
-        sub = closure([e], [c for c in cls if c != e], times, key=None)[1]
+        sub = closure([0], [c for c in cls if c], times, key=None)[1]
         principal.setdefault(frozenset(sub), None)
-    found = {frozenset({e})}
+    found = {frozenset({0})}
     frontier = list(found)
     while frontier:
         fresh = []
@@ -131,37 +110,35 @@ def normal_subgroups(g: FiniteGroup):
             for n in sorted(found, key=lambda n: (len(n), sorted(n)))]
 
 
+def _cosets(g: FiniteGroup, member):
+    """``(coset, table)`` for a normal subgroup N of G given by element
+    indices: ``coset[x]`` numbers xN in the order of least members, and
+    ``table`` is the Cayley table of G/N, with N at 0, by lookups."""
+    table = g.table
+    coset = [None] * len(table)
+    reps = []
+    for x in range(len(table)):
+        if coset[x] is None:
+            for v in member:
+                coset[table[x][v]] = len(reps)
+            reps.append(x)
+    return coset, [[coset[table[a][b]] for b in reps] for a in reps]
+
+
 def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     """(G/N, projection) for a normal subgroup given as an element set.
 
-    Cosets are represented by their least member; the quotient is a table
-    group whose identity is the coset of N itself.
+    Cosets and their table are read off G's Cayley table; the quotient is
+    a table group whose identity is the coset of N itself.
     """
     member = set(n)
     if g.identity not in member:
         raise NotWellDefined("the subgroup does not contain the identity")
     if not is_normal(g, member):
         raise NotWellDefined("cannot quotient by a non-normal subgroup")
-    mul = g.mul
-    coset_of = {}
-    reps = []
-    for x in g.elements:
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for v in member:
-            coset_of[mul(x, v)] = idx
-    label = name or f"{g.name}/N{len(member)}"
-    table = [
-        [coset_of[mul(a, b)] for b in reps]
-        for a in reps
-    ]
-    tmul = make_table_mul(table, label)
-    els = [table_element(label, i) for i in range(len(reps))]
-    qm = monoid_from_elements(els, tmul, els[0], name=label)
-    q = FiniteGroup.from_monoid(qm)
-    proj = MonoidHom(g, q, {x: els[coset_of[x]] for x in g.elements})
+    coset, table = _cosets(g, {g.index[x] for x in member})
+    q = group_from_table(name or f"{g.name}/N{len(member)}", table)
+    proj = MonoidHom(g, q, {x: q.elements[c] for x, c in zip(g.elements, coset)})
     if not proj.is_surjective():
         raise InternalInconsistency("quotient projection is not onto")
     return q, proj
@@ -174,15 +151,19 @@ def check_simple(s: FiniteGroup) -> None:
 
 
 def kernels_with_quotient(g: FiniteGroup, s: FiniteGroup):
-    """Normal subgroups N with G/N isomorphic to S, in enumeration order."""
+    """Normal subgroups N with G/N isomorphic to S, in enumeration order.
+
+    Each N of index |S| is tested by the complete table search between the
+    tables of G/N and S (:func:`~eggbox.core.table_isomorphism`), with no
+    group built.
+    """
     size = len(g.elements)
     target = len(s.elements)
     out = []
     for n in normal_subgroups(g):
         if len(n) * target != size:
             continue
-        q, _ = quotient_group(g, n)
-        if is_isomorphic(q, s) is not None:
+        if table_isomorphism(_cosets(g, {g.index[x] for x in n})[1], s.table) is not None:
             out.append(n)
     return out
 
@@ -245,15 +226,14 @@ def r_s(g: FiniteGroup, s: FiniteGroup) -> SRankResult:
 def _check_elementary(g: FiniteGroup, s: FiniteGroup, kernel) -> None:
     """For S of prime order the quotient is elementary abelian, so the
     kernel must contain every commutator and every |S|-th power: all |G|²
-    and |G| of them, read off the compiled Cayley table."""
+    and |G| of them, read off the group's Cayley table."""
     p = len(s.elements)
     if not _is_prime(p):
         return
-    table, inverse = _cayley_table(g)
+    table, inverse = g.table, g._inverse
     member = {g.index[x] for x in kernel}
-    e = g.index[g.identity]
     for x, row in enumerate(table):
-        xp = e
+        xp = 0
         for _ in range(p):
             xp = table[xp][x]
         if xp not in member:

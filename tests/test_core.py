@@ -31,8 +31,10 @@ from eggbox.errors import (
     NotSurjective,
     NotWellDefined,
 )
+from eggbox.green import maximal_subgroup, minimal_ideal
 from eggbox.groups import builtin_group, cyclic, symmetric
 from eggbox.oracles import naive_omega_power
+from eggbox.srank import normal_subgroups, quotient_group
 from eggbox.wreath import constant_wreath
 
 
@@ -311,12 +313,12 @@ def test_hom_from_generator_images_rejects_a_doubled_generator_with_two_images()
 
 
 def test_a_group_is_its_own_monoid():
-    # from_monoid shares every field of the monoid and adds only inverses
-    # and orders
+    # from_monoid shares every field of the monoid and adds the Cayley table
+    # with the inverses and orders read off it
     m = generate_monoid([transformation([1, 2, 0])], compose_transformations, name="C3")
     g = FiniteGroup.from_monoid(m)
     assert isinstance(g, FiniteMonoid)
-    assert FiniteGroup.__slots__ == ("_inverse", "_orders")
+    assert FiniteGroup.__slots__ == ("table", "_inverse", "_orders")
     assert all(getattr(g, slot) is getattr(m, slot) for slot in FiniteMonoid.__slots__)
     assert len(g) == 3 and m.generators[0] in g
     assert g.inverse(g.generators[0]) == g.elements[-1]
@@ -354,6 +356,36 @@ def test_is_isomorphic_positive_and_negative():
     assert is_isomorphic(builtin_group("C4"), builtin_group("C2xC2")) is None
     assert is_isomorphic(symmetric(3), builtin_group("S3")) is not None
     assert is_isomorphic(symmetric(3), cyclic(6)) is None
+    # equal order profiles, so only the backtracking can tell these apart
+    c4c4, q8c2 = builtin_group("C4xC4"), builtin_group("Q8xC2")
+    assert c4c4.order_profile() == q8c2.order_profile()
+    assert is_isomorphic(c4c4, q8c2) is None
+
+
+def _cover_group():
+    m = build_idempotent_cover(builtin_group("S3"), 11, mode="full").monoid
+    ideal = minimal_ideal(m)
+    return maximal_subgroup(m, ideal.idempotents[0], ideal=ideal)
+
+
+def test_group_table_matches_element_products():
+    # all-pairs oracle: the table, inverses and orders against g.mul
+    groups = [builtin_group(name) for name in ("S3", "Q8", "C2xC2xC2xC2", "A5")]
+    s4 = builtin_group("S4")
+    v4 = next(n for n in normal_subgroups(s4) if len(n) == 4)
+    groups += [quotient_group(s4, v4)[0], _cover_group()]
+    for g in groups:
+        mul, at, one = g.mul, g.index, g.identity
+        assert len(g.table) == len(g) and g.elements[0] == one, g.name
+        for x, row in zip(g.elements, g.table):
+            assert list(row) == [at[mul(x, y)] for y in g.elements], g.name
+            xi = g.inverse(x)
+            assert mul(x, xi) == one == mul(xi, x), g.name
+            k, p = 1, x
+            while p != one:
+                p = mul(p, x)
+                k += 1
+            assert g.order_of(x) == k, g.name
 
 
 def test_direct_power_sizes():

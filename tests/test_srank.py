@@ -8,6 +8,7 @@ from eggbox.errors import (
     NotWellDefined,
     SizeExceeded,
 )
+from eggbox import srank
 from eggbox.groups import builtin_group
 from eggbox.srank import (
     _check_elementary,
@@ -45,7 +46,7 @@ def test_normal_subgroups_of_a_simple_group():
     assert normal_subgroups(a5) == [frozenset({a5.identity}), frozenset(a5.elements)]
 
 
-def test_normal_subgroups_take_one_product_per_generator_edge():
+def test_normal_subgroups_take_no_group_product():
     s5 = builtin_group("S5")
     m = s5
     rule = m.mul
@@ -62,7 +63,36 @@ def test_normal_subgroups_take_one_product_per_generator_edge():
     finally:
         m.mul = rule
     assert [len(n) for n in subs] == [1, 60, 120]
-    assert count <= len(s5.elements) * len(s5.generators) == 240
+    assert count == 0
+
+
+def test_rank_takes_no_group_product_and_one_quotient():
+    # r_s works on G's Cayley table; only the kernel it returns becomes a
+    # quotient group
+    for name, simple, rank in (("C2xC2xC2xC2", "C2", 4), ("A5", "A5", 1)):
+        g = builtin_group(name)
+        rule = g.mul
+        products = quotients = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return rule(a, b)
+
+        def counted_quotient(*args, **kwargs):
+            nonlocal quotients
+            quotients += 1
+            return quotient_group(*args, **kwargs)
+
+        g.mul = counted
+        srank.quotient_group = counted_quotient
+        try:
+            res = r_s(g, builtin_group(simple))
+        finally:
+            g.mul = rule
+            srank.quotient_group = quotient_group
+        assert res.rank == rank, name
+        assert (products, quotients) == (0, 1), name
 
 
 def test_is_normal_matches_naive():
