@@ -631,16 +631,19 @@ class SubSemigroup:
     """A product-closed subset of an ambient monoid, with the generators it
     was closed from (all of its elements when none are given) and its
     idempotents, found on first use.  Closure is the caller's to vouch for:
-    every caller hands in an ideal or a closure result."""
+    every caller hands in an ideal or a closure result.  ``right``, if the
+    closure kept it, maps the index in M of each element x to those of x·a
+    for its generators a."""
 
-    __slots__ = ("monoid", "elements", "member", "generators", "_idempotents")
+    __slots__ = ("monoid", "elements", "member", "generators", "right", "_idempotents")
 
-    def __init__(self, monoid: FiniteMonoid, elements, generators=None):
+    def __init__(self, monoid: FiniteMonoid, elements, generators=None, right=None):
         self.monoid = monoid
         order = monoid.index
         self.elements = tuple(sorted(set(elements), key=lambda x: order[x]))
         self.member = frozenset(self.elements)
         self.generators = self.elements if generators is None else tuple(generators)
+        self.right = right
         self._idempotents = None
 
     def __len__(self):

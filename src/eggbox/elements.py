@@ -24,10 +24,12 @@ breadth-first discovery order, never from Python set iteration, so output is
 stable across processes and hash seeds.
 
 A row-monomial product rule from :func:`make_rowmono_mul` multiplies each
-distinct pair of entries once and hands out equal entries as one shared
-object, so a product of n-row matrices costs n dictionary lookups rather
-than n entry products.  Keys, and so equality, order and hashing, are the
-same as for matrices built by :func:`row_monomial`.
+distinct pair of entries once, so a product of n-row matrices costs n
+dictionary lookups rather than n entry products.  It hands out equal
+entries as one shared object, and one shared row and key pair per distinct
+(column, entry): the garbage collector tracks every tuple that holds an
+:class:`Element`.  Keys, and so equality, order and hashing, are the same
+as for matrices built by :func:`row_monomial`.
 
 Every product rule made here carries a certificate, its ``associative``
 attribute: True means the rule is associative on every input it accepts,
@@ -158,8 +160,12 @@ def make_rowmono_mul(entry_mul):
     rule's own canonical dict and remembered; every later product with that
     pair reads it back.  Operand entries are interned too, so equal entries
     are one shared object and a memo lookup matches them by identity
-    instead of calling ``Element.__eq__``.  The memo and the canonical dict
-    belong to the returned rule and are freed with it.
+    instead of calling ``Element.__eq__``.  The canonical dict maps each
+    entry e to itself and its rows by column d, each ``((d, e), (d, e.key))``
+    made once, and the memo maps a pair to that of its product, so a
+    product allocates no row or key pair for the garbage collector to
+    track.  The memo and the canonical dict belong to the returned rule
+    and are freed with it.
 
     The product is built without :func:`row_monomial`, whose checks hold
     already: each column is a column of the validated operand Y, of the
@@ -190,16 +196,20 @@ def make_rowmono_mul(entry_mul):
         keys = []
         for c, v in rx:
             d, w = ry[c]
-            e = memo.get((v, w))
-            if e is None:
-                v = canon.setdefault(v, v)
-                w = canon.setdefault(w, w)
+            hit = memo.get((v, w))
+            if hit is None:
+                v = canon.setdefault(v, (v, {}))[0]
+                w = canon.setdefault(w, (w, {}))[0]
                 e = entry_mul(v, w)
                 if not isinstance(e, Element):
                     raise NotRowMonomial(f"entry {e!r} is not an Element")
-                e = memo[v, w] = canon.setdefault(e, e)
-            rows.append((d, e))
-            keys.append((d, e.key))
+                hit = memo[v, w] = canon.setdefault(e, (e, {}))
+            e, by_column = hit
+            row = by_column.get(d)
+            if row is None:
+                row = by_column[d] = ((d, e), (d, e.key))
+            rows.append(row[0])
+            keys.append(row[1])
         # no row_monomial() checks needed: each column d comes from the
         # validated operand y of size n, and each entry was checked to be an
         # Element when it entered the memo

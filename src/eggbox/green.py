@@ -386,13 +386,15 @@ def is_simple(s: SubSemigroup) -> bool:
     element xy lies in xS¹ = xyS¹, so x = xys lies in S¹yS¹ and S is one
     J-class; conversely a finite simple S is stable, so y in xS¹ with y J x
     gives y R x (Howie, Fundamentals of Semigroup Theory, 1995, ch. 3).
-    Costs |S|·|A| word walks in M for |A| generators, and no product.
+    Costs |S|·|A| word walks in M for |A| generators, none when S kept the
+    edges of its closure as ``s.right``, and no product.
     """
     m = s.monoid
     pos = {m.index[x]: i for i, x in enumerate(s.elements)}
     gens = [m.index[a] for a in s.generators]
+    right = s.right or {i: [m.times(i, a) for a in gens] for i in pos}
     try:
-        succ = [[pos[m.times(i, a)] for a in gens] for i in pos]
+        succ = [[pos[j] for j in right[i]] for i in pos]
     except KeyError:
         raise NotClosed("a product with a generator escapes the subsemigroup") from None
     comp = _components(succ)
@@ -401,15 +403,23 @@ def is_simple(s: SubSemigroup) -> bool:
 
 def idempotent_generated(s: SubSemigroup) -> SubSemigroup:
     """The subsemigroup generated by the idempotents of S, which it records
-    as its generators, closed over element indices by word walks in M."""
+    as its generators, closed over element indices by word walks in M.
+    The span keeps the walk's successor rows as its ``right``."""
     m = s.monoid
     idem = [m.index[e] for e in s.idempotents]
     if not idem:
         raise NoIdempotents("no idempotents to generate from")
+    right = {}
+
+    def step(i, t):
+        if i not in right:
+            right[i] = [m.times(i, e) for e in idem]
+        return right[i][t]
+
     # products of idempotent words are closed under concatenation
-    levels, _ = closure(idem, idem, m.times, key=None)
+    levels, _ = closure(idem, range(len(idem)), step, key=None)
     return SubSemigroup(m, [m.elements[i] for level in levels for i in level],
-                        generators=s.idempotents)
+                        generators=s.idempotents, right=right)
 
 
 def check_min_ideal_image(phi: MonoidHom) -> ConstructionReport:

@@ -27,9 +27,11 @@ from .core import (
     MonoidHom,
     closure,
     direct_power,
+    generate_monoid,
     is_isomorphic,
     table_isomorphism,
 )
+from .elements import make_table_mul
 from .errors import (
     InternalInconsistency,
     NotSimple,
@@ -37,7 +39,6 @@ from .errors import (
     NotWellDefined,
     SizeExceeded,
 )
-from .groups import group_from_table
 from .report import FAIL, PASS, Check, ConstructionReport
 
 NORMAL_LIMIT = 200
@@ -129,7 +130,8 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     """(G/N, projection) for a normal subgroup given as an element set.
 
     Cosets and their table are read off G's Cayley table; the quotient is
-    a table group whose identity is the coset of N itself.
+    a table group, identity the coset of N, generated by the cosets of G's
+    generators, so a map out of it validates at |G/N|·|gens(G)| products.
     """
     member = set(n)
     if g.identity not in member:
@@ -137,8 +139,15 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     if not is_normal(g, member):
         raise NotWellDefined("cannot quotient by a non-normal subgroup")
     coset, table = _cosets(g, {g.index[x] for x in member})
-    q = group_from_table(name or f"{g.name}/N{len(member)}", table)
-    proj = MonoidHom(g, q, {x: q.elements[c] for x, c in zip(g.elements, coset)})
+    label = name or f"{g.name}/N{len(member)}"
+    mul = make_table_mul(table, label)
+    cosets = mul.carrier
+    m = generate_monoid([cosets[coset[g.index[a]]] for a in g.generators], mul,
+                        identity=cosets[0], name=label)
+    if len(m) != len(cosets):
+        raise InternalInconsistency("the generators' cosets do not generate the quotient")
+    q = FiniteGroup.from_monoid(m)
+    proj = MonoidHom(g, q, {x: cosets[c] for x, c in zip(g.elements, coset)})
     if not proj.is_surjective():
         raise InternalInconsistency("quotient projection is not onto")
     return q, proj

@@ -167,6 +167,57 @@ def test_cover_entries_are_shared_objects():
     assert len(entries) <= len(c3.elements)
 
 
+@pytest.mark.parametrize("name, n", [("C3", 6), ("S3", 23)])
+def test_cover_products_share_one_row_per_column_and_entry(name, n):
+    # every element past the generators is a product of the rule, and its
+    # rows are the n·|H| shared (column, entry) objects
+    h = builtin_group(name)
+    m = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid
+    rows = {id(r) for x in m.elements if len(m.words[x]) >= 2 for r in x.data}
+    assert len(rows) == n * len(h.elements)
+
+
+def assert_rows_shared(products):
+    """Equal rows, and equal key pairs, of the products are one object."""
+    rows, keys = {}, {}
+    count = 0
+    for p in products:
+        for row, pair in zip(p.data, p.key[2]):
+            assert rows.setdefault(row, row) is row
+            assert keys.setdefault(pair, pair) is pair
+            count += 1
+    assert len(rows) < count  # some row value came back
+
+
+def test_rowmono_rule_hands_out_shared_rows():
+    s3 = builtin_group("S3")
+    mul = make_rowmono_mul(s3.mul)
+    rnd = random.Random(13)
+    products = []
+    for _ in range(100):
+        x = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
+        y = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
+        products.append(mul(x, y))
+    assert_rows_shared(products)
+
+
+def test_block_rule_hands_out_shared_rows():
+    c4 = builtin_group("C4")
+    inner_mul = make_rowmono_mul(c4.mul)
+    block_mul = make_rowmono_mul(inner_mul)
+    rnd = random.Random(17)
+
+    def inner():
+        return random_matrix(rnd, 2, lambda: rnd.choice(c4.elements))
+
+    products = []
+    for _ in range(100):
+        x = random_matrix(rnd, 3, inner)
+        y = random_matrix(rnd, 3, inner)
+        products.append(block_mul(x, y))
+    assert_rows_shared(products)
+
+
 def test_rowmono_rule_rejects_a_non_element_entry():
     one = table_element("one", 0)
     mul = make_rowmono_mul(lambda v, w: "not an element")

@@ -95,6 +95,33 @@ def test_rank_takes_no_group_product_and_one_quotient():
         assert (products, quotients) == (0, 1), name
 
 
+def test_quotient_is_generated_by_the_cosets_of_the_generators(monkeypatch):
+    # G/m_s is generated by the cosets of G's generators, so the isomorphism
+    # G/m_s -> S^k is validated at |G/m_s|·|gens(G)| products of S^k
+    g = builtin_group("A5")
+    products = 0
+
+    def counted_isomorphism(q, power):
+        rule = power.mul
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return rule(a, b)
+
+        power.mul = counted
+        try:
+            return is_isomorphic(q, power)
+        finally:
+            power.mul = rule
+
+    monkeypatch.setattr(srank, "is_isomorphic", counted_isomorphism)
+    res = r_s(g, builtin_group("A5"))
+    assert res.rank == 1
+    assert len(res.quotient.generators) == len(g.generators) == 2
+    assert 0 < products <= len(res.quotient.elements) * len(g.generators) == 120
+
+
 def test_is_normal_matches_naive():
     g = builtin_group("S3")
     for sub in naive_all_subgroups(g):
