@@ -157,11 +157,17 @@ def cmd_selftest(args) -> int:
     return selftest_report(outcome).exit_code()
 
 
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return int(text)
+
+
 def _add_common(sub, defs=True, cap=False):
     if defs:
         sub.add_argument("--defs", metavar="PATH", help="definition file to load")
     if cap:
-        sub.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
+        sub.add_argument("--cap", type=_at_least_one, default=DEFAULT_CAP, metavar="N",
                          help="closure size cap")
 
 
@@ -190,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a declared problem, or BASE ALPHA")
     p.add_argument("--prime", type=int, default=None,
                    help="override the modulus prime")
-    p.add_argument("--sample", type=int, default=WORD_SAMPLE, metavar="N",
+    p.add_argument("--sample", type=_at_least_one, default=WORD_SAMPLE, metavar="N",
                    help="words sampled by the verifier")
     _add_common(p, cap=True)
     p.add_argument("--seed", type=int, default=0, metavar="N",

@@ -11,9 +11,10 @@ the base, together with the maps rho and theta that certify the extension.
 Everything a verification report claims about an enumerated monoid is
 read off the closure's right Cayley graph, its products walks along
 witness words; generators and unenumerated closures are multiplied as
-matrices.  Cover checks are exhaustive at every size; the embedding
-verifier samples words, and in capped mode theta's multiplicativity, and
-its witnesses say so.
+matrices.  Cover checks are exact at every size, the idempotent span read
+off the sandwich matrix; the embedding verifier samples words (counting
+preimage coverage on each) and, in capped mode, theta's multiplicativity,
+and its witnesses say so.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .green import (
     check_min_ideal_image,
-    idempotent_generated,
     maximal_subgroup,
     minimal_ideal,
     rees_coordinates,
@@ -65,10 +65,6 @@ from .wreath import (
 )
 
 WORD_SAMPLE = 50
-# ideals up to this size are also closed breadth-first from their
-# idempotents, at |I|·|E(I)| word walks
-IDEMPOTENT_BFS_LIMIT = 2000
-PREIMAGE_LIMIT = 4096
 
 
 def _constant_col(u: Element) -> Optional[int]:
@@ -298,6 +294,22 @@ def _check_ideal_simple(c: CoverResult) -> Check:
     return Check("ideal-simple", PASS, f"coordinatized {box}")
 
 
+def _sandwich_span(rc) -> Optional[int]:
+    """|<P>|, the order of the subgroup of G the sandwich entries generate,
+    at |G|·|P| table lookups; None if an entry is outside G.
+
+    <E(I)> = I exactly when <P> = G (Graham 1968, Houghton 1977): the
+    idempotents (i, 1, 0) and (0, 1, b) of the normalized P multiply to
+    (0, p_bi, 0), so <E> holds (i, 1, 0)(0, g, 0)(0, 1, b) = (i, g, b) for
+    g in <P>; conversely that set is a subsemigroup holding every idempotent
+    (i, p_bi^-1, b)."""
+    g = rc.group
+    entries = {g.index.get(p) for p in rc.sandwich.values()}
+    if None in entries:
+        return None
+    return len(closure([0], sorted(entries), lambda i, j: g.table[i][j], key=None)[1])
+
+
 def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
     """Report on every structural claim the cover makes.
 
@@ -306,7 +318,8 @@ def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
     the constant part, that it is simple, and that its idempotents generate
     it.  Cheap mode runs the generator and witness checks directly on
     matrix products and skips the enumeration-bound ones.  No check
-    samples; ``seed`` is unused and kept for callers that pass it.
+    samples and none has a size limit; ``seed`` is unused and kept for
+    callers that pass it.
     """
     h = c.group
     mul = c.mul
@@ -356,11 +369,10 @@ def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
 
     report.add(_check_idempotent_closure(c))
 
-    if len(c.ideal.elements) <= IDEMPOTENT_BFS_LIMIT:
-        egen = idempotent_generated(c.ideal)
-        report.add(Check("idempotent-closure-exhaustive",
-                         PASS if set(egen.elements) == c.ideal.member else FAIL,
-                         f"breadth-first closure of {len(c.ideal.idempotents)} idempotents"))
+    span, order = _sandwich_span(c.rees), len(c.rees.group.elements)
+    report.add(Check("idempotent-closure-exhaustive", PASS if span == order else FAIL,
+                     "a sandwich entry is not in G" if span is None
+                     else f"sandwich entries generate {span} of {order}"))
     return report
 
 
@@ -755,15 +767,20 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
                  f"{len(sol.raw)} generators x {sol.p} blocks")
 
 
+def _preimages_held(eta: Element, mw: Element, ahat: MonoidHom) -> int:
+    """How many distinct blocks of eta lie over M_w under entrywise alpha_hat."""
+    return sum(all(c == d and ahat.map[x] == v for (c, x), (d, v) in zip(blk.data, mw.data))
+               for blk in {blk for _, blk in eta.data})
+
+
 def _check_sampled_words(sol: EmbeddingSolution, words):
-    """Single-column and preimage-coverage checks over sampled words."""
+    """Single-column and preimage-coverage checks over sampled words.
+
+    Each fibre of alpha_hat is a coset of its kernel, so M_w has nu^b = ell
+    preimages, all in M_w's columns: eta(w) holds them all exactly when ell
+    of its distinct blocks lie over M_w."""
     base = sol.problem.base
-    h = sol.problem.h
-    ahat = sol.problem.alpha_hat
     kmul = make_rowmono_mul(base.group.mul)
-    preimages = {}
-    for v in base.group.elements:
-        preimages[v] = tuple(x for x in h.elements if ahat.map[x] == v)
     single = Check("single-column", PASS, f"{len(words)} words")
     coverage = Check("preimage-coverage", PASS, f"{len(words)} words")
     for w in words:
@@ -776,23 +793,10 @@ def _check_sampled_words(sol: EmbeddingSolution, words):
         if len(outer) != 1 or len(inner) != 1:
             single = Check("single-column", FAIL, f"eta({w}) has several columns")
             break
-        blocks = {blk for _, blk in eta.data}
-        pres = [preimages[v] for _, v in mw.data]
-        count = 1
-        for ps in pres:
-            count *= len(ps)
-        if count > PREIMAGE_LIMIT:
+        held = _preimages_held(eta, mw, sol.problem.alpha_hat)
+        if held != sol.ell:
             coverage = Check("preimage-coverage", FAIL,
-                             f"{count} preimages exceed the check limit {PREIMAGE_LIMIT}")
-            break
-        cols = [c for c, _ in mw.data]
-        for combo in iter_product(*pres):
-            cand = row_monomial(zip(cols, combo))
-            if cand not in blocks:
-                coverage = Check("preimage-coverage", FAIL,
-                                 f"a preimage of M_w for w={w} misses eta(w)'s blocks")
-                break
-        if coverage.status == FAIL:
+                             f"eta(w) holds {held} of the {sol.ell} preimages of M_w for w={w}")
             break
     return single, coverage
 

@@ -85,6 +85,22 @@ def test_cover_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--sample", "0"),
+    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--sample", "-3"),
+    ("cover", "C2", "3", "--mode", "full", "--cap", "-5"),
+    ("cover", "C2", "3", "--cap", "0"),
+    ("cover", "C2", "3", "--cap", "many"),
+])
+def test_counts_below_one_are_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_cover_auto_falls_back_to_cheap(capsys):
     code, out, _ = run(capsys, "cover", "S3", "11")
     assert code == 0

@@ -1,4 +1,7 @@
 import copy
+import random
+import re
+from itertools import product
 
 import pytest
 
@@ -14,8 +17,15 @@ from eggbox.constructions import (
     verify_cover,
     verify_embedding,
 )
+from eggbox.acceptance import MUTATION_CAP, corrupt_block_entry
 from eggbox.core import MonoidHom, generate_monoid, is_isomorphic
-from eggbox.elements import compose_transformations, row_monomial, transformation
+from eggbox.elements import (
+    compose_transformations,
+    identity_row_monomial,
+    make_rowmono_mul,
+    row_monomial,
+    transformation,
+)
 from eggbox.errors import (
     CapExceeded,
     KMismatch,
@@ -24,7 +34,9 @@ from eggbox.errors import (
     PrimeBoundViolated,
     TooFewGenerators,
 )
+from eggbox.green import idempotent_generated, rees_coordinates
 from eggbox.groups import builtin_group
+from eggbox.wreath import constant_wreath
 
 
 def test_cover_modulus_bound():
@@ -119,8 +131,8 @@ def test_cover_products_are_linear_in_the_generators(monkeypatch):
     # multiplied, and 839 more when they multiplied theirs); an |M|²
     # associativity table alone would be 12,996
     assert count[0] <= 152
-    # the verifier's factorizations and the breadth-first closure of the
-    # idempotents are word walks too; multiplied out, build and verify
+    # the verifier's factorizations are word walks too and its idempotent
+    # span is read off the sandwich matrix; multiplied out, build and verify
     # took 4,996 products
     report = verify_cover(c)
     assert report.passed
@@ -132,10 +144,14 @@ def test_s3_cover_products_stay_near_its_size(monkeypatch):
     count = counting_rowmono_products(monkeypatch)
     c = build_idempotent_cover(builtin_group("S3"), 23, mode="full")
     assert len(c.monoid) == 3197
-    assert verify_cover(c).passed
+    report = verify_cover(c)
+    assert report.passed
     # build and verify made 6,601 products when the closure multiplied
     # every right edge, |M|·|A| = 6,394 of them
     assert count[0] <= 4500
+    # one list of checks at every size: no check is gated on |I| = 3,174
+    small = verify_cover(build_idempotent_cover(builtin_group("C2"), 3, mode="full"))
+    assert [ch.name for ch in report.checks] == [ch.name for ch in small.checks]
 
 
 def test_cover_cheap_mode_skips_enumeration():
@@ -162,9 +178,10 @@ def c2_cover_40():
 
 
 def test_cover_ideal_recomputed_at_scale(c2_cover_40):
-    # n = 40 puts |J| past the breadth-first idempotent closure limit, but the
-    # factorization still covers every element of J, and the minimal ideal
-    # comes from the same Green computation as for small covers
+    # at n = 40 the factorization still covers every element of the
+    # 3,200-element J, its idempotent span is read off the sandwich matrix,
+    # and the minimal ideal comes from the same Green computation as for
+    # small covers
     c = c2_cover_40
     # n cyclic units (identity included) plus the n x |H| x n ideal
     assert len(c.monoid.elements) == 40 + 40 * 2 * 40
@@ -173,7 +190,8 @@ def test_cover_ideal_recomputed_at_scale(c2_cover_40):
     names = {ch.name: ch for ch in report.checks}
     assert names["ideal-is-constants"].witness == "independent recomputation"
     assert "exhaustive" in names["idempotent-closure"].witness
-    assert "idempotent-closure-exhaustive" not in names
+    assert names["idempotent-closure-exhaustive"].status == "pass"
+    assert names["idempotent-closure-exhaustive"].witness == "sandwich entries generate 2 of 2"
 
 
 def test_cover_factorization_detects_a_bad_coordinate(c2_cover_40):
@@ -199,6 +217,46 @@ def test_cover_ideal_simple_detects_a_bad_sandwich_entry():
     names = {ch.name: ch for ch in verify_cover(c).checks}
     assert names["ideal-simple"].status == "fail"
     assert names["ideal-simple"].witness == "sandwich entry (1, 1) is not in G"
+    assert names["idempotent-closure-exhaustive"].status == "fail"
+    assert names["idempotent-closure-exhaustive"].witness
+
+
+def sandwich_fixtures():
+    """(label, Rees coordinates) of the covers, the constant wreaths and
+    criterion 4's embedding ideals whose idempotent spans are compared."""
+    for gname, n in (("C2", 3), ("C2", 7), ("C3", 5), ("C3", 6), ("S3", 11)):
+        yield f"cover-{gname}-{n}", build_idempotent_cover(builtin_group(gname), n, mode="full").rees
+    for gname in ("C2", "C3", "C4", "C2xC2", "S3"):
+        for b in (1, 2, 3):
+            w = constant_wreath(builtin_group(gname), b)
+            yield f"wreath-{gname}-b{b}", rees_coordinates(w.monoid, w.simple, w.simple.idempotents[0])
+    for key, prob in embedding_problems().items():
+        sol = solve_embedding(prob, require_full=True)
+        yield f"ideal-{key}", rees_coordinates(sol.mprime, sol.ideal, sol.e_prime)
+
+
+def test_sandwich_span_is_the_idempotent_span():
+    # Graham and Houghton: <E(I)> is the Rees matrix semigroup over <P>
+    proper = []
+    for label, rc in sandwich_fixtures():
+        span = constructions._sandwich_span(rc)
+        assert rc.n_a * span * rc.n_b == len(idempotent_generated(rc.ideal)), label
+        if span < len(rc.group):
+            proper.append(label)
+    # at b = 1 a wreath's sandwich matrix is the single identity entry, and
+    # the E2 and E3 ideals are not generated by their idempotents either
+    wreaths = [f"wreath-{g}-b1" for g in ("C2", "C3", "C4", "C2xC2", "S3")]
+    assert proper == wreaths + ["ideal-E2", "ideal-E3"]
+
+
+def test_idempotent_closure_fails_on_a_proper_sandwich_span():
+    c = build_idempotent_cover(builtin_group("C3"), 5)
+    c.rees = copy.copy(c.rees)
+    one = c.rees.group.identity
+    c.rees.sandwich = {ba: one for ba in c.rees.sandwich}
+    names = {ch.name: ch for ch in verify_cover(c).checks}
+    assert names["idempotent-closure-exhaustive"].status == "fail"
+    assert names["idempotent-closure-exhaustive"].witness == "sandwich entries generate 1 of 3"
 
 
 def test_check_min_ideal_image_fast_paths_at_scale(c2_cover_40):
@@ -366,3 +424,59 @@ def test_mutation_is_detected():
     report = verify_embedding(bad)
     failures = [c for c in report.checks if c.status == "fail"]
     assert failures and all(c.witness for c in failures)
+
+
+def enumerated_preimages_held(sol, eta, mw):
+    """The candidate enumeration preimage coverage once ran, as an oracle:
+    (how many matrices over H in M_w's columns with entries over M_w's are
+    blocks of eta, how many there are)."""
+    ahat = sol.problem.alpha_hat
+    blocks = {blk for _, blk in eta.data}
+    fibres = [[x for x in sol.problem.h.elements if ahat.map[x] == v] for _, v in mw.data]
+    cols = [c for c, _ in mw.data]
+    cands = [row_monomial(zip(cols, combo)) for combo in product(*fibres)]
+    return sum(cand in blocks for cand in cands), len(cands)
+
+
+def sampled_words(sol):
+    """The words ``verify_embedding`` samples at its default seed, with M_w."""
+    base = sol.problem.base
+    kmul = make_rowmono_mul(base.group.mul)
+    rnd = random.Random(0)
+    for _ in range(constructions.WORD_SAMPLE):
+        w = constructions._sample_word(rnd, base)
+        mw = identity_row_monomial(base.b, base.group.identity)
+        for gi in w:
+            mw = kmul(mw, base.matrices[gi])
+        yield w, mw
+
+
+def e2_mutation(probs):
+    sol = solve_embedding(probs["E2"])
+    return assemble_embedding(probs["E2"], sol.p, corrupt_block_entry(sol, probs["E2"]),
+                              strict=False, cap=MUTATION_CAP)
+
+
+def test_counted_coverage_agrees_with_the_enumeration():
+    probs = embedding_problems()
+    sols = {key: solve_embedding(probs[key], require_full=True) for key in sorted(probs)}
+    sols["E2-mutation"] = e2_mutation(probs)
+    short = set()
+    for key, sol in sols.items():
+        for w, mw in sampled_words(sol):
+            eta = sol.eta(w)
+            held, total = enumerated_preimages_held(sol, eta, mw)
+            assert total == sol.ell, key
+            assert constructions._preimages_held(eta, mw, sol.problem.alpha_hat) == held, (key, w)
+            if held < total:
+                short.add(key)
+    assert short == {"E2-mutation"}
+
+
+def test_e2_mutation_fails_counted_coverage():
+    bad = e2_mutation(embedding_problems())
+    names = {ch.name: ch for ch in verify_embedding(bad).checks}
+    assert names["preimage-coverage"].status == "fail"
+    witness = names["preimage-coverage"].witness
+    found = re.match(r"eta\(w\) holds (\d+) of the 2 preimages of M_w for w=", witness)
+    assert found and int(found.group(1)) < 2
