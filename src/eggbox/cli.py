@@ -171,8 +171,17 @@ def _add_common(sub, defs=True, cap=False):
                          help="closure size cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr, exit 2;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        sys.stderr.write(f"eggbox: error: {message}\n")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eggbox",
         description="Finite-semigroup constructions with verification reports.",
     )

@@ -352,7 +352,7 @@ def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
 
     if c.monoid is None:
         for name in ("max-subgroup-iso", "ideal-is-constants", "ideal-simple",
-                     "idempotent-closure"):
+                     "idempotent-closure", "idempotent-closure-exhaustive"):
             report.add(Check(name, SKIPPED, "needs the enumerated cover"))
         return report
 
@@ -680,9 +680,16 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     rho_map = {}
     if mprime is not None:
         ideal_p = minimal_ideal(mprime)
+        images = {}  # block -> its entrywise image, made once per distinct block
+
+        def image(blk):
+            if blk not in images:
+                images[blk] = _alphabar(ahat, blk)
+            return images[blk]
+
         for v in mprime.elements:
-            first = _alphabar(ahat, v.data[0][1])
-            rest_agree = all(_alphabar(ahat, blk) == first for _, blk in v.data[1:])
+            first = image(v.data[0][1])
+            rest_agree = all(image(blk) == first for _, blk in v.data[1:])
             target = schutz_inverse.get(first)
             if strict and (target is None or not rest_agree):
                 raise InternalInconsistency(f"rho is undefined at {short_str(v)}")

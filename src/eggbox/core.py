@@ -43,13 +43,9 @@ from .errors import (
     NotClosed,
     NotSurjective,
     NotWellDefined,
-    SizeExceeded,
 )
 
 DEFAULT_CAP = 500_000
-
-# is_isomorphic backtracks over generator images up to this group order
-ISOMORPHISM_LIMIT = 200
 
 
 class FiniteMonoid:
@@ -591,12 +587,10 @@ def _close_with_map(t1, t2, gen_images):
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[MonoidHom]:
     """Search for an isomorphism; returns a verified MonoidHom or None.
 
-    The search runs on the two Cayley tables (:func:`table_isomorphism`),
-    bounded at ``ISOMORPHISM_LIMIT`` = 200 elements; the map it finds is
-    validated again with element products as a :class:`MonoidHom`.
+    The search runs on the two Cayley tables (:func:`table_isomorphism`)
+    at any group size; the map it finds is validated again with element
+    products as a :class:`MonoidHom`.
     """
-    if len(g1) > ISOMORPHISM_LIMIT or len(g2) > ISOMORPHISM_LIMIT:
-        raise SizeExceeded(f"isomorphism search above {ISOMORPHISM_LIMIT} elements")
     f = table_isomorphism(g1.table, g2.table)
     if f is None:
         return None

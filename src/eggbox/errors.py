@@ -26,10 +26,6 @@ class NotSurjective(EggboxError):
     """An operation required a surjective homomorphism."""
 
 
-class SizeExceeded(EggboxError):
-    """An exhaustive search was requested above its size bound."""
-
-
 class NotIdempotent(EggboxError):
     """An operation required an idempotent element."""
 

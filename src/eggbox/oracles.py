@@ -116,19 +116,27 @@ def _subgroup_closure(g: FiniteGroup, seed) -> frozenset:
 
 
 def naive_all_subgroups(g: FiniteGroup):
-    """Every subgroup, by breadth-first extension of known subgroups."""
+    """Every subgroup, by breadth-first extension of known subgroups.
+
+    A subgroup H is extended by one x from each right coset Hx outside H,
+    since ⟨H, x⟩ = ⟨H, hx⟩ for h in H, and each subgroup keeps the
+    elements it was generated from, so the closure multiplies by those
+    and x."""
     triv = frozenset({g.identity})
-    found = {triv}
+    found = {triv: ()}
     frontier = [triv]
     while frontier:
         fresh = []
         for sub in frontier:
+            done = set(sub)
             for x in g.elements:
-                if x in sub:
+                if x in done:
                     continue
-                bigger = _subgroup_closure(g, sorted(sub | {x}, key=g.index.__getitem__))
+                done.update(g.mul(h, x) for h in sub)
+                seed = found[sub] + (x,)
+                bigger = _subgroup_closure(g, seed)
                 if bigger not in found:
-                    found.add(bigger)
+                    found[bigger] = seed
                     fresh.append(bigger)
         frontier = fresh
     key = lambda n: (len(n), sorted(g.index[x] for x in n))
@@ -143,6 +151,23 @@ def naive_is_normal(g: FiniteGroup, sub) -> bool:
         for x in g.elements
         for v in member
     )
+
+
+def naive_is_elementary_quotient(g: FiniteGroup, p: int, kernel) -> bool:
+    """Whether a normal subgroup K holds every p-th power and every
+    commutator of G, so that G/K is elementary abelian: all |G| and |G|²
+    of them, by element products."""
+    mul, member = g.mul, set(kernel)
+    for x in g.elements:
+        xp = g.identity
+        for _ in range(p):
+            xp = mul(xp, x)
+        if xp not in member:
+            return False
+        inv_x = g.inverse(x)
+        if any(mul(mul(inv_x, g.inverse(y)), mul(x, y)) not in member for y in g.elements):
+            return False
+    return True
 
 
 def naive_rank(g: FiniteGroup, s: FiniteGroup) -> int:

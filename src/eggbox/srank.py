@@ -4,14 +4,20 @@ For a finite simple group S, m_s(G) is the intersection of all normal
 subgroups of G whose quotient is isomorphic to S (all of G when there are
 none), and the S-rank r_s(G) is the k with G/m_s(G) isomorphic to S^k.
 
-The quadratic work runs over element indices, on the Cayley table every
-:class:`~eggbox.core.FiniteGroup` carries, and only looks entries up:
-:func:`normal_subgroups` takes one normal closure per conjugacy class and
-joins them, a candidate kernel N is tested by the table isomorphism search
-between the coset table of G/N and that of S, with no quotient group built,
-and the elementary-abelian check of a prime-order S reads every commutator
-and p-th power off the table.  Only the kernel :func:`r_s` returns becomes a
-group, through :func:`quotient_group`.
+Everything runs over element indices, on the Cayley table every
+:class:`~eggbox.core.FiniteGroup` carries, and only looks entries up; no
+group size is refused.  Normal closures are walks by conjugation steps
+(:func:`_step_closure`), at |N|·(seeds + |A|) lookups for a closure N
+and A the generators of G.
+
+For S of prime order p, m_s(G) is read off the generators with no lattice:
+it is G^p[G, G], the normal closure of a^p and [a, b] over generators a, b
+(:func:`_prime_kernel`).  For any other S, :func:`normal_subgroups`
+enumerates the lattice and a candidate kernel N is tested by the table
+isomorphism search between the coset table of G/N and that of S, with no
+quotient group built.  Only the kernel :func:`r_s` returns becomes a
+group, through :func:`quotient_group`, and the elementary-abelian check of
+a prime-order S reads the commutators and p-th powers of the generators.
 
 A deliberately naive oracle in :mod:`eggbox.oracles` walks the full
 subgroup lattice with element products, so the two can be compared on
@@ -23,6 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
+    DEFAULT_CAP,
     FiniteGroup,
     MonoidHom,
     closure,
@@ -33,15 +40,13 @@ from .core import (
 )
 from .elements import make_table_mul
 from .errors import (
+    CapExceeded,
     InternalInconsistency,
     NotSimple,
     NotSurjective,
     NotWellDefined,
-    SizeExceeded,
 )
 from .report import FAIL, PASS, Check, ConstructionReport
-
-NORMAL_LIMIT = 200
 
 
 def is_normal(g: FiniteGroup, sub) -> bool:
@@ -58,52 +63,112 @@ def is_normal(g: FiniteGroup, sub) -> bool:
     return True
 
 
+def _conjugations(g: FiniteGroup) -> list:
+    """For each generator s of G outside the centre the map v -> s⁻¹·v·s
+    on element indices; a central one's is the identity map, which a
+    closure walks for nothing."""
+    table, inverse = g.table, g._inverse
+    fixed = list(range(len(table)))
+    out = []
+    for s in (g.index[a] for a in g.generators):
+        row = table[inverse[s]]
+        step = [table[row[v]][s] for v in fixed]
+        if step != fixed:
+            out.append(step)
+    return out
+
+
+def _column(g: FiniteGroup, x: int) -> list:
+    """The map v -> v·x on element indices."""
+    return [row[x] for row in g.table]
+
+
+def _apply(v, step):
+    return step[v]
+
+
+def _step_closure(start, steps) -> dict:
+    """The least set of element indices holding ``start`` and closed under
+    ``steps``, as the keys of a dict.  With the steps right multiplication
+    by each x of a set X (:func:`_column`) and conjugation by each
+    generator of G (:func:`_conjugations`), it is the normal closure ⟨⟨X⟩⟩
+    from start {1}, and the join N·⟨⟨X⟩⟩ from a normal subgroup N.
+
+    Conjugation by a generator c permutes G, so a power of it is the
+    identity map and a set closed under it is closed under conjugation by
+    c⁻¹, hence under conjugation by every g in G.  For y in the set and x
+    in X, y·(g⁻¹xg) = g⁻¹((gyg⁻¹)·x)g then lies in the set: it is closed
+    under right multiplication by every conjugate of X, so it holds
+    start·⟨⟨X⟩⟩.  That product is a normal subgroup holding start and
+    closed under both steps, so the least such set is no larger.  The walk
+    costs |result|·(|X| + |A|) lookups, A the generators of G.
+    """
+    return closure(start, steps, _apply, key=None)[1]
+
+
+def _prime_kernel(g: FiniteGroup, p: int) -> dict:
+    """G^p[G, G] by element index: the normal closure N of a^p and
+    a⁻¹b⁻¹ab over generators a, b of G.
+
+    It is m_s(G) for S = C_p.  The kernel K of a map onto C_p is normal and
+    holds every p-th power and commutator, so K holds N.  G/N is generated
+    by the cosets of the generators, which commute and have order dividing
+    p, so G/N is elementary abelian, (C_p)^r; its r coordinate maps onto
+    C_p have kernels meeting in N, so the kernels onto C_p meet in N too,
+    and r = 0 gives N = G, as when there are none.
+    """
+    table, inverse = g.table, g._inverse
+    gens = [g.index[a] for a in g.generators]
+    seeds = set()
+    for a in gens:
+        x = 0
+        for _ in range(p):
+            x = table[x][a]
+        seeds.add(x)
+        inv_a = table[inverse[a]]
+        for b in gens:
+            seeds.add(table[inv_a[inverse[b]]][table[a][b]])
+    seeds.discard(0)
+    steps = [_column(g, x) for x in sorted(seeds)] + _conjugations(g)
+    return _step_closure([0], steps)
+
+
 def normal_subgroups(g: FiniteGroup):
     """All normal subgroups, ordered by size then by element order.
 
     Every normal subgroup is the join of the normal closures of its
     elements, and conjugate elements share one, so the join closure of
-    the normal closures of the conjugacy classes is complete.  The walks
-    run over the group's Cayley table: a class is the closure of one
-    element under conjugation by the generators, its normal closure the
-    subgroup the class generates, and the join of normal N and P the set
-    product N·P, the right closure of N under P∖N.  Everything is lookups.
-    Raises :class:`SizeExceeded` above ``NORMAL_LIMIT`` = 200 elements.
+    the normal closures of the conjugacy classes is complete.  A class is
+    the closure of one element x under conjugation by the generators; its
+    normal closure ⟨⟨x⟩⟩, and the join N·⟨⟨x⟩⟩ of a normal N with it, are
+    conjugation-step walks from {1} and from N (:func:`_step_closure`).
+    Everything is lookups, at every group size.  The lattice of C2⁸ has
+    417,199 members, so the enumeration raises :class:`CapExceeded` once it
+    has found more than ``DEFAULT_CAP`` normal subgroups.
     """
-    if len(g.elements) > NORMAL_LIMIT:
-        raise SizeExceeded(
-            f"normal subgroup enumeration above {NORMAL_LIMIT} elements")
-    table, inverse = g.table, g._inverse
-    gens = [g.index[s] for s in g.generators]
-
-    def times(x, y):
-        return table[x][y]
-
-    def conjugate(v, s):
-        return table[table[inverse[s]][v]][s]
-
+    table = g.table
+    conj = _conjugations(g)
     seen = set()
-    principal = {}
+    principal = {}  # ⟨⟨x⟩⟩ -> (x, its steps) for the first class that gives it
     for x in range(len(table)):
         if x in seen:
             continue
-        cls = closure([x], gens, conjugate, key=None)[1]
-        seen.update(cls)
-        sub = closure([0], [c for c in cls if c], times, key=None)[1]
-        principal.setdefault(frozenset(sub), None)
+        seen.update(_step_closure([x], conj))
+        steps = [_column(g, x)] + conj
+        principal.setdefault(frozenset(_step_closure([0], steps)), (x, steps))
     found = {frozenset({0})}
     frontier = list(found)
     while frontier:
         fresh = []
         for n in frontier:
-            for pc in principal:
-                if pc <= n:
+            for x, steps in principal.values():
+                if x in n:  # ⟨⟨x⟩⟩ ≤ N
                     continue
-                # the right closure of N under P∖N is N·P: each n·p with
-                # p in P ∩ N already lies in N
-                join = frozenset(closure(n, pc - n, times, key=None)[1])
+                join = frozenset(_step_closure(n, steps))
                 if join not in found:
                     found.add(join)
+                    if len(found) > DEFAULT_CAP:
+                        raise CapExceeded(DEFAULT_CAP, len(found))
                     fresh.append(join)
         frontier = fresh
     elements = g.elements
@@ -132,6 +197,12 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     Cosets and their table are read off G's Cayley table; the quotient is
     a table group, identity the coset of N, generated by the cosets of G's
     generators, so a map out of it validates at |G/N|·|gens(G)| products.
+
+    The coset rule is certified associative, so the closure skips Light's
+    test: N is checked normal (:func:`is_normal`) before the cosets are
+    taken, so xN·yN = xyN does not depend on the representatives, and the
+    coset table is G's associative product read on cosets.  The closure's
+    size check and the projection's surjectivity check stay.
     """
     member = set(n)
     if g.identity not in member:
@@ -141,6 +212,7 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     coset, table = _cosets(g, {g.index[x] for x in member})
     label = name or f"{g.name}/N{len(member)}"
     mul = make_table_mul(table, label)
+    mul.associative = True
     cosets = mul.carrier
     m = generate_monoid([cosets[coset[g.index[a]]] for a in g.generators], mul,
                         identity=cosets[0], name=label)
@@ -154,8 +226,9 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
 
 
 def check_simple(s: FiniteGroup) -> None:
-    """Raise NotSimple unless S has exactly the two trivial normal subgroups."""
-    if len(normal_subgroups(s)) != 2:
+    """Raise NotSimple unless S has exactly the two trivial normal
+    subgroups; a group of prime order has, by Lagrange, with no lattice."""
+    if not _is_prime(len(s.elements)) and len(normal_subgroups(s)) != 2:
         raise NotSimple(f"{s.name} is not a (nontrivial) simple group")
 
 
@@ -164,10 +237,13 @@ def kernels_with_quotient(g: FiniteGroup, s: FiniteGroup):
 
     Each N of index |S| is tested by the complete table search between the
     tables of G/N and S (:func:`~eggbox.core.table_isomorphism`), with no
-    group built.
+    group built.  By Lagrange there is none, and no lattice is walked,
+    unless |S| divides |G|.
     """
     size = len(g.elements)
     target = len(s.elements)
+    if size % target:
+        return []
     out = []
     for n in normal_subgroups(g):
         if len(n) * target != size:
@@ -178,8 +254,13 @@ def kernels_with_quotient(g: FiniteGroup, s: FiniteGroup):
 
 
 def m_s(g: FiniteGroup, s: FiniteGroup) -> frozenset:
-    """Intersection of all kernels of surjections onto S; G if none."""
+    """Intersection of all kernels of surjections onto S; G if none.  For
+    S of prime order p it is G^p[G, G] (:func:`_prime_kernel`), with no
+    lattice."""
     check_simple(s)
+    if _is_prime(len(s.elements)):
+        elements = g.elements
+        return frozenset(elements[i] for i in _prime_kernel(g, len(s.elements)))
     kernels = kernels_with_quotient(g, s)
     if not kernels:
         return frozenset(g.elements)
@@ -233,24 +314,29 @@ def r_s(g: FiniteGroup, s: FiniteGroup) -> SRankResult:
 
 
 def _check_elementary(g: FiniteGroup, s: FiniteGroup, kernel) -> None:
-    """For S of prime order the quotient is elementary abelian, so the
-    kernel must contain every commutator and every |S|-th power: all |G|²
-    and |G| of them, read off the group's Cayley table."""
+    """For S of prime order p the quotient by the normal kernel K must be
+    elementary abelian: every p-th power of a generator and every
+    commutator of two generators lies in K, read off the group's Cayley
+    table at p|A| + |A|² lookups.  That suffices: G/K is generated by the
+    cosets of the generators, so when they commute and have order
+    dividing p, G/K is abelian of exponent dividing p.  K must be normal,
+    which :func:`quotient_group` has checked."""
     p = len(s.elements)
     if not _is_prime(p):
         return
     table, inverse = g.table, g._inverse
     member = {g.index[x] for x in kernel}
-    for x, row in enumerate(table):
-        xp = 0
+    gens = [g.index[a] for a in g.generators]
+    for a in gens:
+        x = 0
         for _ in range(p):
-            xp = table[xp][x]
-        if xp not in member:
-            raise InternalInconsistency(f"{g.elements[x]!r}^{p} escapes m_s")
-        # x⁻¹·y⁻¹·x·y for every y
-        inv_x = table[inverse[x]]
-        for y, xy in enumerate(row):
-            if table[inv_x[inverse[y]]][xy] not in member:
+            x = table[x][a]
+        if x not in member:
+            raise InternalInconsistency(f"{g.elements[a]!r}^{p} escapes m_s")
+        # a⁻¹·b⁻¹·a·b for every generator b
+        inv_a = table[inverse[a]]
+        for b in gens:
+            if table[inv_a[inverse[b]]][table[a][b]] not in member:
                 raise InternalInconsistency("a commutator escapes m_s")
 
 

@@ -91,14 +91,19 @@ def test_cover_cap_exceeded(capsys):
     ("cover", "C2", "3", "--mode", "full", "--cap", "-5"),
     ("cover", "C2", "3", "--cap", "0"),
     ("cover", "C2", "3", "--cap", "many"),
+    ("cover", "C2", "3", "--mode", "bogus"),
+    ("cover", "C2", "three"),
 ])
 def test_counts_below_one_are_rejected_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an integer of at least 1" in err
-    assert "Traceback" not in err
+    # one line on stderr, with no usage block before it
+    assert len(err.splitlines()) == 1
+    assert err.startswith("eggbox: error: argument ") and f"'{argv[-1]}'" in err
+    if argv[-2] in ("--cap", "--sample"):
+        assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an integer of at least 1" in err
 
 
 def test_cover_auto_falls_back_to_cheap(capsys):

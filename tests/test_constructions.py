@@ -333,6 +333,27 @@ def embedding_problems():
     }
 
 
+def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
+    # rho reads each block's entrywise image of alpha_hat from one dict
+    c2 = builtin_group("C2")
+    c4 = builtin_group("C4")
+    base = prepare_base(build_idempotent_cover(c2, 3).monoid)
+    prob = EmbeddingProblem(MonoidHom.from_generator_images(c4, c2, [c2.generators[0]]), base)
+    made = {}
+    alphabar = constructions._alphabar
+
+    def counted(ahat, blk):
+        made[blk] = made.get(blk, 0) + 1
+        return alphabar(ahat, blk)
+
+    monkeypatch.setattr(constructions, "_alphabar", counted)
+    sol = solve_embedding(prob, require_full=True)
+    blocks = {blk for v in sol.mprime.elements for _, blk in v.data}
+    assert set(made) == blocks
+    assert max(made.values()) == 1
+    assert len(sol.mprime) > 10 * len(blocks)
+
+
 def test_problem_validation():
     c2 = builtin_group("C2")
     c4 = builtin_group("C4")

@@ -1,12 +1,14 @@
 import pytest
 
-from eggbox.core import MonoidHom, direct_power, is_isomorphic
+from eggbox.cli import main
+from eggbox.core import FiniteGroup, MonoidHom, closure, direct_power, generate_monoid, is_isomorphic
+from eggbox.elements import make_table_mul
 from eggbox.errors import (
+    CapExceeded,
     InternalInconsistency,
     NotSimple,
     NotSurjective,
     NotWellDefined,
-    SizeExceeded,
 )
 from eggbox import srank
 from eggbox.groups import builtin_group
@@ -19,7 +21,67 @@ from eggbox.srank import (
     quotient_group,
     r_s,
 )
-from eggbox.oracles import naive_all_subgroups, naive_is_normal, naive_rank
+from eggbox.oracles import (
+    naive_all_subgroups,
+    naive_is_elementary_quotient,
+    naive_is_normal,
+    naive_rank,
+)
+
+# the S-rank corpus of the benchmark's monoids workload
+RANK_CORPUS = (
+    ("S4xC2", "C2"), ("S4xC2", "C3"), ("A5", "C2"), ("A5", "A5"), ("S5", "C2"),
+    ("C2xC2xC2xC2", "C2"), ("C3xC3", "C3"), ("A4", "C3"), ("D4", "C2"),
+    ("Q8", "C2"), ("C2xC6", "C2"),
+)
+
+
+def cyclic_table_group(n):
+    """Z/nZ as a table group generated by 1: element products are table
+    lookups, so the naive oracles reach it above 200 elements."""
+    table = [tuple((i + j) % n for j in range(n)) for i in range(n)]
+    mul = make_table_mul(table, f"Z{n}")
+    return FiniteGroup.from_monoid(
+        generate_monoid([mul.carrier[1]], mul, identity=mul.carrier[0], name=f"Z{n}"))
+
+
+def lattice_by_set_products(g):
+    """Reference lattice by set products: each class's subgroup is the
+    right closure of 1 under the whole class, and each join N·P the right
+    closure of N under P∖N."""
+    table, inverse = g.table, g._inverse
+    gens = [g.index[s] for s in g.generators]
+
+    def times(x, y):
+        return table[x][y]
+
+    def conjugate(v, s):
+        return table[table[inverse[s]][v]][s]
+
+    seen = set()
+    principal = {}
+    for x in range(len(table)):
+        if x in seen:
+            continue
+        cls = closure([x], gens, conjugate, key=None)[1]
+        seen.update(cls)
+        sub = closure([0], [c for c in cls if c], times, key=None)[1]
+        principal.setdefault(frozenset(sub), None)
+    found = {frozenset({0})}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for n in frontier:
+            for pc in principal:
+                if pc <= n:
+                    continue
+                join = frozenset(closure(n, pc - n, times, key=None)[1])
+                if join not in found:
+                    found.add(join)
+                    fresh.append(join)
+        frontier = fresh
+    return [frozenset(g.elements[i] for i in n)
+            for n in sorted(found, key=lambda n: (len(n), sorted(n)))]
 
 
 def test_normal_subgroup_counts():
@@ -237,7 +299,95 @@ def test_rank_monotone_check():
         check_rank_monotone(inward, c2)
 
 
-def test_normal_enumeration_size_guard():
+def test_normal_enumeration_size_guard(monkeypatch):
+    # C2^8 has 417,199 normal subgroups; the enumeration stops once it has
+    # found more than the cap
+    monkeypatch.setattr(srank, "DEFAULT_CAP", 100)
     big = direct_power(builtin_group("C2"), 8)
-    with pytest.raises(SizeExceeded):
+    with pytest.raises(CapExceeded) as exc:
         normal_subgroups(big)
+    assert (exc.value.cap, exc.value.reached) == (100, 101)
+
+
+def test_conjugation_step_lattice_matches_set_products():
+    for name in ("S3", "D4", "Q8", "A4", "S4", "C2xC6", "C3xC3", "A5", "S5",
+                 "S4xC2", "C2xC2xC2xC2", "A6", "S6"):
+        g = builtin_group(name)
+        assert normal_subgroups(g) == lattice_by_set_products(g), name
+
+
+def test_rank_matches_naive_oracle_on_the_benchmark_corpus():
+    for gname, sname in RANK_CORPUS:
+        g, s = builtin_group(gname), builtin_group(sname)
+        assert r_s(g, s).rank == naive_rank(g, s), (gname, sname)
+
+
+def test_rank_matches_naive_oracle_above_200_elements():
+    g = cyclic_table_group(211)
+    for sname, rank in (("C2", 0), ("C211", 1), ("A5", 0)):
+        s = builtin_group(sname)
+        assert r_s(g, s).rank == naive_rank(g, s) == rank, sname
+
+
+def test_prime_rank_takes_no_lattice(monkeypatch):
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return normal_subgroups(g)
+
+    monkeypatch.setattr(srank, "normal_subgroups", counted)
+    big = direct_power(builtin_group("C2"), 8)
+    res = r_s(big, builtin_group("C2"))
+    assert res.rank == 8 and res.kernel == frozenset({big.identity})
+    assert r_s(builtin_group("S4xC2"), builtin_group("C3")).rank == 0
+    assert calls == 0
+
+
+def test_no_lattice_of_g_unless_the_order_of_s_divides_it(monkeypatch):
+    walked = []
+
+    def counted(g):
+        walked.append(g.name)
+        return normal_subgroups(g)
+
+    monkeypatch.setattr(srank, "normal_subgroups", counted)
+    big = direct_power(builtin_group("C2"), 8)
+    assert r_s(big, builtin_group("A5")).rank == 0
+    assert walked == ["A5"]  # check_simple's, of S alone
+
+
+def test_prime_kernel_is_the_intersection_of_the_kernels_onto_s():
+    # G^p[G, G] from the generators against the lattice's kernels onto C_p
+    for gname, sname in RANK_CORPUS:
+        s = builtin_group(sname)
+        if len(s) in (2, 3):
+            g = builtin_group(gname)
+            kernels = srank.kernels_with_quotient(g, s)
+            expected = frozenset(g.elements).intersection(*kernels)
+            assert m_s(g, s) == expected, (gname, sname)
+
+
+def test_elementary_check_on_generators_matches_all_pairs():
+    # on every prime pair of the corpus, and every normal subgroup K of G,
+    # the generator check passes exactly when every p-th power and every
+    # commutator of G lies in K
+    for gname, sname in RANK_CORPUS:
+        p = len(builtin_group(sname))
+        if p not in (2, 3):
+            continue
+        g = builtin_group(gname)
+        for k in normal_subgroups(g):
+            try:
+                _check_elementary(g, builtin_group(sname), k)
+                passed = True
+            except InternalInconsistency:
+                passed = False
+            assert passed == naive_is_elementary_quotient(g, p, k), (gname, sname, len(k))
+
+
+def test_cli_srank_above_200_elements(capsys):
+    assert main(["srank", "S6", "C2"]) == 0
+    out = capsys.readouterr().out
+    assert "rank=1" in out.split("---")[-1].splitlines()
