@@ -20,7 +20,6 @@ from .constructions import (
     verify_cover,
     verify_embedding,
     DEFAULT_CAP,
-    WORD_SAMPLE,
 )
 from .core import FiniteGroup
 from .defs import Definitions, load_definitions, write_cover_definition
@@ -115,7 +114,7 @@ def cmd_embed(args) -> int:
     prob = EmbeddingProblem(alpha, prepare_base(base))
     sol = solve_embedding(prob, p_override=args.prime, cap=args.cap)
     sys.stdout.write(sol.summary() + "\n")
-    report = verify_embedding(sol, sample=args.sample, seed=args.seed)
+    report = verify_embedding(sol, seed=args.seed)
     return _emit(report)
 
 
@@ -205,11 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a declared problem, or BASE ALPHA")
     p.add_argument("--prime", type=int, default=None,
                    help="override the modulus prime")
-    p.add_argument("--sample", type=_at_least_one, default=WORD_SAMPLE, metavar="N",
-                   help="words sampled by the verifier")
     _add_common(p, cap=True)
     p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="verification sampling seed")
+                   help="seed of the words a capped verification samples")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("srank", help="S-rank of a group")

@@ -12,14 +12,17 @@ Everything a verification report claims about an enumerated monoid is
 read off the closure's right Cayley graph, its products walks along
 witness words; generators and unenumerated closures are multiplied as
 matrices.  Cover checks are exact at every size, the idempotent span read
-off the sandwich matrix; the embedding verifier samples words (counting
-preimage coverage on each) and, in capped mode, theta's multiplicativity,
-and its witnesses say so.
+off the sandwich matrix.  The embedding verifier checks every element of
+an enumerated J', each the image eta(w) of its witness word w, with M_w
+read off the base along the same word, and theta on every edge of G''s
+right Cayley graph; only a capped closure, which nothing enumerates, is
+checked on sampled words, and its witnesses say so.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product as iter_product
 from typing import Optional
 
@@ -27,6 +30,7 @@ from .core import (
     DEFAULT_CAP,
     FiniteGroup,
     MonoidHom,
+    along_words,
     canonical_section,
     closure,
     generate_monoid,
@@ -148,6 +152,21 @@ def cover_modulus_bound(h) -> int:
     return max(2, 2 * len(h.elements) - 1)
 
 
+def cover_size(h, n: int) -> int:
+    """|<x, y>| for the cover of H at modulus n: n + n²|H|, or 2n for H = 1.
+
+    The powers of x are n units; every product with y in it is constant on
+    one column, like y.  On those, x on the left rotates the row of entries,
+    x on the right moves the column, and a constant on the right scales the
+    row by the entry it reads (y·x^j·y is y scaled by its j-th entry).  So
+    the rest is the Rees box of n columns by the rotations of y's row
+    scaled by H, n|H| distinct rows for H ≠ 1: a row's repeated entry, the
+    identity n - |H| + 1 >= 2 times in y's, is its scalar, and the place of
+    an entry seen once its rotation.  For H = 1 there is one row."""
+    order = len(h.elements)
+    return 2 * n if order == 1 else n + n * n * order
+
+
 def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
                            cap: int = DEFAULT_CAP) -> CoverResult:
     """Cover of H by <x, y> inside H wr (shift of Z_n plus constants).
@@ -155,7 +174,7 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     x cycles the n points with identity entries; row i of y holds the i-th
     group element under the constant-to-0 map, padding with the identity,
     which needs n >= max(2, 2|H| - 1).  Auto mode enumerates the closure
-    whenever the size bound n + n|H|^n + 1 fits the cap; full mode always
+    whenever its size (:func:`cover_size`) fits the cap; full mode always
     enumerates it, and the cap applies to the closure actually reached.
     """
     if mode not in ("auto", "full", "cheap"):
@@ -169,7 +188,7 @@ def build_idempotent_cover(h: FiniteGroup, n: int, mode: str = "auto",
     y = row_monomial((0, h.elements[i] if i < order else ident) for i in range(n))
     mul = make_rowmono_mul(h.mul)
     if mode == "auto":
-        mode = "full" if n + order ** n * n + 1 <= cap else "cheap"
+        mode = "full" if cover_size(h, n) <= cap else "cheap"
     if mode == "cheap":
         return CoverResult(h, n, "cheap", x, y, mul, None, None, None, None)
     monoid = generate_monoid(
@@ -517,7 +536,9 @@ class EmbeddingSolution:
     """Solved extension data.
 
     ``raw`` holds the block generators; ``mprime`` is their closure in
-    full mode and None when the cap was hit (``capnote`` says so).  ``rho``
+    full mode and None when the cap was hit (``capnote`` says so).
+    ``group`` is the enumerated maximal subgroup G' at e': a group, except
+    in lenient capped mode, where it is the monoid its seeds generate.  ``rho``
     and ``theta`` are validated homomorphisms in strict full mode; the maps
     themselves are always available as dictionaries, and ``rho_of`` works
     element by element in every mode.
@@ -548,10 +569,7 @@ class EmbeddingSolution:
 
     def eta(self, word) -> Element:
         """Product of the block generators along a base word."""
-        acc = self._block_identity()
-        for gi in word:
-            acc = self.block_mul(acc, self.raw[gi])
-        return acc
+        return reduce(self.block_mul, (self.raw[gi] for gi in word), self._block_identity())
 
     def _block_identity(self) -> Element:
         inner = identity_row_monomial(self.problem.base.b, self.problem.h.identity)
@@ -559,17 +577,15 @@ class EmbeddingSolution:
 
 
 def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
-                    allowed_primes=None, cap: int = DEFAULT_CAP,
-                    require_full: bool = False) -> EmbeddingSolution:
+                    cap: int = DEFAULT_CAP, require_full: bool = False) -> EmbeddingSolution:
     """Build the block generators and assemble the extension.
 
     nu = |ker alpha_hat|, m the least idempotent power of the sigma-lift of
     M_g1, ell = nu^b; the shift modulus is the least prime above
-    max(m, ell), or the least allowed prime above it, and an explicit
-    override must also clear the bound.  Generator 1 becomes the shift
-    matrix with constant lift blocks; every other generator is the
-    single-column matrix whose first ell blocks are scaled by the kernel
-    diagonals in lexicographic order.
+    max(m, ell), and an explicit override must also clear the bound.
+    Generator 1 becomes the shift matrix with constant lift blocks; every
+    other generator is the single-column matrix whose first ell blocks are
+    scaled by the kernel diagonals in lexicographic order.
     """
     base = prob.base
     h = prob.h
@@ -590,14 +606,7 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
         if not _is_prime(p_override) or p_override <= bound:
             raise PrimeBoundViolated(
                 f"override {p_override} is not a prime above max(m, ell) = {bound}")
-        if allowed_primes is not None and p_override not in set(allowed_primes):
-            raise PrimeBoundViolated(f"override {p_override} is not among the allowed primes")
         p = p_override
-    elif allowed_primes is not None:
-        usable = sorted(q for q in set(allowed_primes) if _is_prime(q) and q > bound)
-        if not usable:
-            raise PrimeBoundViolated(f"no allowed prime exceeds max(m, ell) = {bound}")
-        p = usable[0]
     else:
         p = _next_prime(bound + 1)
 
@@ -650,9 +659,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     block_guard = p * guard
     o1 = _least_idempotent_power(raw[0], block_mul, block_guard)[1]
     o2 = _least_idempotent_power(raw[1], block_mul, block_guard)[1]
-    eta_w = block_ident
-    for gi in base.word:
-        eta_w = block_mul(eta_w, raw[gi])
+    eta_w = reduce(block_mul, (raw[gi] for gi in base.word), block_ident)
     e_prime = _least_idempotent_power(block_mul(block_mul(o1, eta_w), o2), block_mul, block_guard)[1]
 
     schutz_inverse = {}
@@ -716,20 +723,17 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
             seeds.append(block_mul(block_mul(e_prime, cj), e_prime))
             cj = block_mul(cj, cycler)
         for kk in base.group.elements:
-            acc = block_ident
-            for gi in base.monoid.words[kk]:
-                acc = block_mul(acc, raw[gi])
+            acc = reduce(block_mul, (raw[gi] for gi in base.monoid.words[kk]), block_ident)
             seeds.append(block_mul(block_mul(e_prime, acc), e_prime))
         gp_monoid = generate_monoid(seeds, block_mul, cap=cap, identity=e_prime,
                                     name=f"G'[{h.name}]")
         group_elements = gp_monoid.elements
-        group = FiniteGroup.from_monoid(gp_monoid) if strict else None
+        group = FiniteGroup.from_monoid(gp_monoid) if strict else gp_monoid
 
     theta_map = {s: s.data[0][1].data[0][1] for s in group_elements}
     theta = None
     if strict:
-        theta_source = group if group is not None else mprime
-        theta = MonoidHom(theta_source, prob.h, theta_map)
+        theta = MonoidHom(group, prob.h, theta_map)
         if len(set(theta_map.values())) != len(theta_map):
             raise InternalInconsistency("theta is not injective on the subgroup at e'")
         if theta_map[e_prime] != h.identity:
@@ -774,33 +778,59 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
                  f"{len(sol.raw)} generators x {sol.p} blocks")
 
 
-def _preimages_held(eta: Element, mw: Element, ahat: MonoidHom) -> int:
-    """How many distinct blocks of eta lie over M_w under entrywise alpha_hat."""
-    return sum(all(c == d and ahat.map[x] == v for (c, x), (d, v) in zip(blk.data, mw.data))
-               for blk in {blk for _, blk in eta.data})
+def _block_cases(sol: EmbeddingSolution, seed: int):
+    """The (eta(w), M_w, w) cases the block checks run over, and their scope.
+
+    With M' enumerated, every element of J' is eta(w) for its witness word
+    w, and M_w is the Schutzenberger matrix of w's value in the base, read
+    by walking the base's right Cayley graph along the same letters: |M'|
+    lookups and no product.  A capped closure enumerates nothing, so
+    ``WORD_SAMPLE`` full-support words are sampled and eta(w) multiplied
+    out; M_w is read off the same base walk.
+    """
+    base = sol.problem.base
+    bm = base.monoid
+    one = bm.index[bm.identity]
+
+    def step(i, t):
+        return bm.right[i][t]
+
+    if sol.mprime is not None:
+        m = sol.mprime
+        at = along_words(m, one, step)
+        cases = [(v, at[m.index[v]], m.words[v]) for v in sol.ideal.elements]
+        scope = f"{len(cases)} elements of J'"
+    else:
+        rnd = random.Random(seed)
+        words = [_sample_word(rnd, base) for _ in range(WORD_SAMPLE)]
+        cases = [(sol.eta(w), reduce(step, w, one), w) for w in words]
+        scope = f"{len(cases)} words"
+    return [(eta, base.schutz.map[bm.elements[i]], w) for eta, i, w in cases], scope
 
 
-def _check_sampled_words(sol: EmbeddingSolution, words):
-    """Single-column and preimage-coverage checks over sampled words.
+def _check_blocks(sol: EmbeddingSolution, cases, scope: str):
+    """Single-column and preimage-coverage checks over (eta(w), M_w, w).
 
     Each fibre of alpha_hat is a coset of its kernel, so M_w has nu^b = ell
     preimages, all in M_w's columns: eta(w) holds them all exactly when ell
-    of its distinct blocks lie over M_w."""
-    base = sol.problem.base
-    kmul = make_rowmono_mul(base.group.mul)
-    single = Check("single-column", PASS, f"{len(words)} words")
-    coverage = Check("preimage-coverage", PASS, f"{len(words)} words")
-    for w in words:
-        eta = sol.eta(w)
-        mw = identity_row_monomial(base.b, base.group.identity)
-        for gi in w:
-            mw = kmul(mw, base.matrices[gi])
-        outer = {c for c, _ in eta.data}
-        inner = {c for _, blk in eta.data for c, _ in blk.data}
-        if len(outer) != 1 or len(inner) != 1:
+    of its distinct blocks lie over M_w.  Blocks repeat across J', so each
+    distinct block's column and image are made once."""
+    ahat = sol.problem.alpha_hat
+    made = {}  # block -> (its column if constant, the key of its image under alpha_hat)
+    single = Check("single-column", PASS, scope)
+    coverage = Check("preimage-coverage", PASS, scope)
+    for eta, mw, w in cases:
+        blocks = []
+        for blk in {blk for _, blk in eta.data}:
+            got = made.get(blk)
+            if got is None:
+                got = made[blk] = (_constant_col(blk), _alphabar(ahat, blk).key)
+            blocks.append(got)
+        inner = {col for col, _ in blocks}
+        if len({c for c, _ in eta.data}) != 1 or len(inner) != 1 or None in inner:
             single = Check("single-column", FAIL, f"eta({w}) has several columns")
             break
-        held = _preimages_held(eta, mw, sol.problem.alpha_hat)
+        held = sum(key == mw.key for _, key in blocks)
         if held != sol.ell:
             coverage = Check("preimage-coverage", FAIL,
                              f"eta(w) holds {held} of the {sol.ell} preimages of M_w for w={w}")
@@ -808,18 +838,39 @@ def _check_sampled_words(sol: EmbeddingSolution, words):
     return single, coverage
 
 
-def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
-                     seed: int = 0) -> ConstructionReport:
+def _check_theta(sol: EmbeddingSolution) -> Check:
+    """theta is an isomorphism of G' onto H: injective, onto, and
+    theta(s·a) = theta(s)·theta(a) on every edge of G''s right Cayley graph.
+
+    The edges out of e' give theta(e') = 1, and along a witness word
+    a_1...a_k of y, theta(s·y) = theta(s)·theta(a_1)...theta(a_k) =
+    theta(s)·theta(y), so theta is multiplicative."""
+    h = sol.problem.h
+    g = sol.group
+    theta = sol.theta_map
+    for s, row in zip(g.elements, g.right):
+        for a, j in zip(g.generators, row):
+            if theta[g.elements[j]] != h.mul(theta[s], theta[a]):
+                return Check("theta-iso", FAIL,
+                             f"theta({short_str(s)} * {short_str(a)}) breaks multiplicativity")
+    values = set(theta.values())
+    ok = len(values) == len(theta) and values == set(h.elements)
+    return Check("theta-iso", PASS if ok else FAIL,
+                 f"|G'| = {len(theta)}, |H| = {len(h.elements)}")
+
+
+def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionReport:
     """Report on every claim of the extension construction.
 
     Foundational checks pin e' and the generators; block projection,
     single-column and preimage coverage follow the construction's matrix
-    claims over sampled full-support words; ideal identification, kernel
-    and section coverage, the theta isomorphism and the compatibility
+    claims over every element of J'; ideal identification, kernel and
+    section coverage, the theta isomorphism and the compatibility
     alpha o theta = rho certify the group extension itself; and in full
     strict mode the minimal ideal image checks of rho run last.  Capped
-    mode downgrades the enumeration-bound checks to sampled or skipped
-    form, recording the downgrade in the check witness.
+    mode runs the block checks and ideal identification on sampled words
+    (``seed`` seeds them) and skips the checks that need M', recording it
+    in the check witness.
     """
     base = sol.problem.base
     h = sol.problem.h
@@ -854,9 +905,8 @@ def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
 
     report.add(_check_block_projection(sol))
 
-    rnd = random.Random(seed)
-    words = [_sample_word(rnd, base) for _ in range(sample)]
-    single, coverage = _check_sampled_words(sol, words)
+    cases, scope = _block_cases(sol, seed)
+    single, coverage = _check_blocks(sol, cases, scope)
     report.add(single)
     report.add(coverage)
 
@@ -867,14 +917,10 @@ def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
                          f"|J'| = {len(sol.ideal.elements)}" if match else
                          f"constant part {len(const)} vs ideal {len(sol.ideal.elements)}"))
     else:
-        failed = None
-        for w in words:
-            if _block_constant_col(sol.eta(w)) is None:
-                failed = w
-                break
+        failed = next((w for eta, _, w in cases if _block_constant_col(eta) is None), None)
         report.add(Check("ideal-identification",
                          PASS if failed is None else FAIL,
-                         f"sampled {len(words)} words; enumeration capped" if failed is None
+                         f"sampled {len(cases)} words; enumeration capped" if failed is None
                          else f"eta({failed}) is not constant"))
 
     theta_vals = set(sol.theta_map.values())
@@ -901,25 +947,7 @@ def verify_embedding(sol: EmbeddingSolution, sample: int = WORD_SAMPLE,
                      f"section of {len(sect)} elements" if not lack else
                      f"sigma({short_str(lack[0])}) misses the theta image"))
 
-    inj = len(theta_vals) == len(sol.theta_map)
-    onto = theta_vals == set(h.elements)
-    if sol.theta is not None:
-        status = PASS if (inj and onto) else FAIL
-        note = f"|G'| = {len(sol.theta_map)}, |H| = {len(h.elements)}"
-    else:
-        # no validated homomorphism: test multiplicativity directly
-        status = PASS if (inj and onto) else FAIL
-        note = "hom property sampled"
-        els = list(sol.group_elements)
-        for _ in range(min(200, len(els) * len(els))):
-            s = els[rnd.randrange(len(els))]
-            t = els[rnd.randrange(len(els))]
-            st = mul(s, t)
-            if st.data[0][1].data[0][1] != h.mul(sol.theta_map[s], sol.theta_map[t]):
-                status = FAIL
-                note = f"theta({short_str(s)} * {short_str(t)}) breaks multiplicativity"
-                break
-    report.add(Check("theta-iso", status, note))
+    report.add(_check_theta(sol))
 
     bad = ""
     for s in sol.group_elements:

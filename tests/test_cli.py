@@ -67,7 +67,7 @@ def test_cover_full_and_reload(capsys, tmp_path):
 
 
 def test_cover_cheap_mode_cannot_be_written(capsys, tmp_path):
-    code, out, err = run(capsys, "cover", "S3", "11",
+    code, out, err = run(capsys, "cover", "S3", "11", "--mode", "cheap",
                          "--out", str(tmp_path / "s3.defs"))
     assert code == 2
     assert "--mode full" in err
@@ -86,8 +86,8 @@ def test_cover_cap_exceeded(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--sample", "0"),
-    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--sample", "-3"),
+    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--cap", "0"),
+    ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--cap", "-3"),
     ("cover", "C2", "3", "--mode", "full", "--cap", "-5"),
     ("cover", "C2", "3", "--cap", "0"),
     ("cover", "C2", "3", "--cap", "many"),
@@ -102,17 +102,22 @@ def test_counts_below_one_are_rejected_at_parse_time(capsys, argv):
     # one line on stderr, with no usage block before it
     assert len(err.splitlines()) == 1
     assert err.startswith("eggbox: error: argument ") and f"'{argv[-1]}'" in err
-    if argv[-2] in ("--cap", "--sample"):
+    if argv[-2] == "--cap":
         assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an integer of at least 1" in err
 
 
 def test_cover_auto_falls_back_to_cheap(capsys):
-    code, out, _ = run(capsys, "cover", "S3", "11")
+    # auto mode compares the cover's exact size, 737 at S3 n = 11, with the cap
+    code, out, _ = run(capsys, "cover", "S3", "11", "--cap", "736")
     assert code == 0
     t = trailer(out)
     assert t["mode"] == "cheap"
     assert t["result"] == "pass"
     assert "skipped" in out
+    code, out, _ = run(capsys, "cover", "S3", "11")
+    assert code == 0
+    t = trailer(out)
+    assert (t["mode"], t["size"], t["result"]) == ("full", "737", "pass")
 
 
 def test_cover_output_is_deterministic(capsys):

@@ -1,6 +1,5 @@
 import copy
 import random
-import re
 from itertools import product
 
 import pytest
@@ -12,18 +11,20 @@ from eggbox.constructions import (
     build_idempotent_cover,
     cover_idempotent_witnesses,
     cover_modulus_bound,
+    cover_size,
     prepare_base,
     solve_embedding,
     verify_cover,
     verify_embedding,
 )
-from eggbox.acceptance import MUTATION_CAP, corrupt_block_entry
-from eggbox.core import MonoidHom, generate_monoid, is_isomorphic
+from eggbox.acceptance import COVER_GROUPS, MUTATION_CAP, corrupt_block_entry
+from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid, is_isomorphic
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
     make_rowmono_mul,
     row_monomial,
+    short_str,
     transformation,
 )
 from eggbox.errors import (
@@ -100,6 +101,13 @@ def test_cover_sizes():
         assert size == (2 * n if len(h) == 1 else n + n * n * len(h))
 
 
+def test_cover_size_matches_the_closure():
+    # criterion 2's covers, and S3 at n = 11, which auto mode now enumerates
+    for name, n in [(g, cover_modulus_bound(builtin_group(g))) for g in COVER_GROUPS] + [("S3", 11)]:
+        h = builtin_group(name)
+        assert cover_size(h, n) == len(build_idempotent_cover(h, n, mode="full").monoid), name
+
+
 def counting_rowmono_products(monkeypatch):
     """A counter of the row-monomial products the constructions make from
     now on."""
@@ -163,9 +171,12 @@ def test_cover_cheap_mode_skips_enumeration():
 
 
 def test_cover_auto_mode_respects_cap():
-    # the candidate bound for S3 at n = 11 dwarfs any usable cap
-    c = build_idempotent_cover(builtin_group("S3"), 11)
-    assert c.mode == "cheap"
+    # auto mode compares the cover's exact size, 737 at S3 n = 11, with the cap
+    s3 = builtin_group("S3")
+    assert build_idempotent_cover(s3, 11, cap=736).mode == "cheap"
+    c = build_idempotent_cover(s3, 11)
+    assert (c.mode, len(c.monoid)) == ("full", 737)
+    assert build_idempotent_cover(s3, 11, cap=737).mode == "full"
     # full mode caps the actual closure, which has 737 elements
     with pytest.raises(CapExceeded) as exc:
         build_idempotent_cover(builtin_group("S3"), 11, mode="full", cap=100)
@@ -410,10 +421,10 @@ def test_prime_override_rules():
         solve_embedding(probs["E2"], p_override=3)  # not above max(m, ell) = 4
     with pytest.raises(PrimeBoundViolated):
         solve_embedding(probs["E2"], p_override=9)  # not prime
-    sol11 = solve_embedding(probs["E2"], allowed_primes=[11, 13])
+    sol11 = solve_embedding(probs["E2"], p_override=11)
     assert sol11.p == 11
     with pytest.raises(PrimeBoundViolated):
-        solve_embedding(probs["E2"], allowed_primes=[2, 3])
+        solve_embedding(probs["E2"], p_override=2)  # prime, but not above 4
 
 
 def test_capped_solve_degrades_gracefully():
@@ -459,17 +470,29 @@ def enumerated_preimages_held(sol, eta, mw):
     return sum(cand in blocks for cand in cands), len(cands)
 
 
-def sampled_words(sol):
-    """The words ``verify_embedding`` samples at its default seed, with M_w."""
+def word_matrix(sol, w):
+    """M_w as the product of the base's generator matrices along w."""
     base = sol.problem.base
     kmul = make_rowmono_mul(base.group.mul)
+    mw = identity_row_monomial(base.b, base.group.identity)
+    for gi in w:
+        mw = kmul(mw, base.matrices[gi])
+    return mw
+
+
+def sampled_words(sol):
+    """The words ``verify_embedding`` samples at its default seed under a
+    cap, with M_w."""
     rnd = random.Random(0)
     for _ in range(constructions.WORD_SAMPLE):
-        w = constructions._sample_word(rnd, base)
-        mw = identity_row_monomial(base.b, base.group.identity)
-        for gi in w:
-            mw = kmul(mw, base.matrices[gi])
-        yield w, mw
+        w = constructions._sample_word(rnd, sol.problem.base)
+        yield w, word_matrix(sol, w)
+
+
+def ideal_cases(sol):
+    """(v, M_v, w) for every element v of J' and its witness word w."""
+    return [(v, word_matrix(sol, sol.mprime.words[v]), sol.mprime.words[v])
+            for v in sol.ideal.elements]
 
 
 def e2_mutation(probs):
@@ -484,13 +507,21 @@ def test_counted_coverage_agrees_with_the_enumeration():
     sols["E2-mutation"] = e2_mutation(probs)
     short = set()
     for key, sol in sols.items():
-        for w, mw in sampled_words(sol):
-            eta = sol.eta(w)
-            held, total = enumerated_preimages_held(sol, eta, mw)
+        assert sol.mode == "full", key
+        cases = ideal_cases(sol)
+        # the verifier's cases read M_v off the base walk, not a product fold
+        assert constructions._block_cases(sol, 0) == (cases, f"{len(cases)} elements of J'"), key
+        for case in cases:
+            v, mv, w = case
+            held, total = enumerated_preimages_held(sol, v, mv)
             assert total == sol.ell, key
-            assert constructions._preimages_held(eta, mw, sol.problem.alpha_hat) == held, (key, w)
+            _, coverage = constructions._check_blocks(sol, [case], "")
             if held < total:
                 short.add(key)
+                assert coverage.witness == \
+                    f"eta(w) holds {held} of the {total} preimages of M_w for w={w}", (key, w)
+            else:
+                assert coverage.status == "pass", (key, w)
     assert short == {"E2-mutation"}
 
 
@@ -498,6 +529,76 @@ def test_e2_mutation_fails_counted_coverage():
     bad = e2_mutation(embedding_problems())
     names = {ch.name: ch for ch in verify_embedding(bad).checks}
     assert names["preimage-coverage"].status == "fail"
-    witness = names["preimage-coverage"].witness
-    found = re.match(r"eta\(w\) holds (\d+) of the 2 preimages of M_w for w=", witness)
-    assert found and int(found.group(1)) < 2
+    # the first element of J' that lacks a preimage, named by its witness word
+    held, w = next((held, w) for v, mv, w in ideal_cases(bad)
+                   for held, _ in [enumerated_preimages_held(bad, v, mv)] if held < 2)
+    assert names["preimage-coverage"].witness == \
+        f"eta(w) holds {held} of the 2 preimages of M_w for w={w}"
+
+
+def with_element_replaced(sol, v, bad):
+    """A copy of a full-mode solution whose M' and J' hold ``bad`` in
+    place of v, under v's witness word."""
+    m = sol.mprime
+
+    def swap(x):
+        return bad if x == v else x
+
+    doctored = copy.copy(sol)
+    doctored.mprime = FiniteMonoid(m.name, map(swap, m.elements), m.mul, m.identity,
+                                   m.generators, {swap(x): w for x, w in m.words.items()},
+                                   m.right, m.left)
+    doctored.ideal = SubSemigroup(doctored.mprime, map(swap, sol.ideal.elements))
+    return doctored
+
+
+def test_single_column_reads_every_element_of_the_ideal():
+    sol = solve_embedding(embedding_problems()["E2"], require_full=True)
+    sampled = {sol.eta(w) for w, _ in sampled_words(sol)}
+    v = next(x for x in reversed(sol.ideal.elements) if x not in sampled)
+    rows = list(v.data)
+    col, blk = rows[0]
+    rows[0] = ((col + 1) % sol.p, blk)
+    doctored = with_element_replaced(sol, v, row_monomial(rows))
+    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    assert names["single-column"].status == "fail"
+    assert names["single-column"].witness == f"eta({sol.mprime.words[v]}) has several columns"
+
+
+def test_theta_iso_checks_every_edge_of_a_capped_group():
+    probs = embedding_problems()
+    sol = solve_embedding(probs["E2"])
+    capped = assemble_embedding(probs["E2"], sol.p, sol.raw, strict=False, cap=50)
+    assert capped.mode == "capped" and capped.theta is None
+    names = {ch.name: ch for ch in verify_embedding(capped).checks}
+    assert (names["theta-iso"].status, names["theta-iso"].witness) == ("pass", "|G'| = 4, |H| = 4")
+    g = capped.group
+    row = g.right[1]
+    row[0] = next(j for j in range(len(g)) if j != row[0])
+    names = {ch.name: ch for ch in verify_embedding(capped).checks}
+    assert names["theta-iso"].status == "fail"
+    assert names["theta-iso"].witness == \
+        f"theta({short_str(g.elements[1])} * {short_str(g.generators[0])}) breaks multiplicativity"
+
+
+def test_full_mode_verification_samples_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled in full mode")
+
+    monkeypatch.setattr(constructions, "_sample_word", refuse)
+    monkeypatch.setattr(constructions, "random", None)
+    probs = embedding_problems()
+    for key in sorted(probs):
+        sol = copy.copy(solve_embedding(probs[key], require_full=True))
+        products = [0]
+        block_mul = sol.block_mul
+
+        def counted(x, y):
+            products[0] += 1
+            return block_mul(x, y)
+
+        sol.block_mul = counted
+        assert verify_embedding(sol).passed, key
+        # e'·e' and the kernel sweep's three products per step; the block
+        # checks and ideal identification read J' and make none
+        assert products[0] == 1 + 3 * sol.p, key
