@@ -47,7 +47,7 @@ bcol, bval = blk.data[0]
 rows[0] = (col, row_monomial([(bcol, c4.mul(bval, g))] + list(blk.data)[1:]))
 raw[1] = row_monomial(rows)
 
-bad = assemble_embedding(prob, sol.p, raw, strict=False)
+bad = assemble_embedding(prob, sol.p, raw)
 failing = [c for c in verify_embedding(bad).checks if c.status == "fail"]
 print(f"\nafter corrupting one inner entry, {len(failing)} checks fail:")
 for c in failing:

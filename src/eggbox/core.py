@@ -412,7 +412,8 @@ def underlying(obj) -> FiniteMonoid:
 
 
 class MonoidHom:
-    """A verified homomorphism stored as a total element map."""
+    """A homomorphism stored as a total element map, validated on every
+    edge of the source unless the caller has proved it (``check=False``)."""
 
     __slots__ = ("source", "target", "map", "_image")
 

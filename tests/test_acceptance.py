@@ -14,6 +14,7 @@ import pytest
 from eggbox import acceptance
 from eggbox.acceptance import run_acceptance
 from eggbox.core import FiniteMonoid
+from eggbox.report import Check, ConstructionReport
 
 BUDGETS = {
     "criterion-1": 10.0,
@@ -60,8 +61,16 @@ def test_criterion_05_mutation_detection(outcome):
     check(outcome, "criterion-5")
 
 
-def test_criterion_06_minimal_ideal_images(outcome):
+def test_criterion_06_minimal_ideal_images(outcome, monkeypatch):
     check(outcome, "criterion-6")
+    report = next(r for r in outcome.reports if r.construction == "criterion-6")
+    assert [c.name for c in report.checks if "-rho-" in c.name] == [
+        f"{key}-rho-{what}-image" for key in ("E1", "E2", "E3") for what in ("ideal", "subgroup")]
+    # an image check that criterion 4 skipped, rho having broken an edge, fails here
+    embedded = ConstructionReport("criterion-4")
+    embedded.add(Check("E2-rho-ideal-image", "skipped", "rho breaks an edge of M'"))
+    monkeypatch.setattr(acceptance, "COVER_GROUPS", ())
+    assert not acceptance.criterion_6(embedded, {}).passed
 
 
 def test_criterion_07_idempotent_generated_simple(outcome):

@@ -177,10 +177,20 @@ def test_cover_auto_mode_respects_cap():
     c = build_idempotent_cover(s3, 11)
     assert (c.mode, len(c.monoid)) == ("full", 737)
     assert build_idempotent_cover(s3, 11, cap=737).mode == "full"
-    # full mode caps the actual closure, which has 737 elements
+    # full mode refuses on the same exact size
     with pytest.raises(CapExceeded) as exc:
         build_idempotent_cover(builtin_group("S3"), 11, mode="full", cap=100)
-    assert 100 < exc.value.reached <= 737
+    assert exc.value.reached == 737
+
+
+def test_full_cover_refuses_before_it_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a cover past its cap")
+
+    monkeypatch.setattr(constructions, "generate_monoid", refuse)
+    with pytest.raises(CapExceeded) as exc:
+        build_idempotent_cover(builtin_group("S3"), 11, mode="full", cap=736)
+    assert (exc.value.cap, exc.value.reached) == (736, 737)
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +355,8 @@ def embedding_problems():
 
 
 def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
-    # rho reads each block's entrywise image of alpha_hat from one dict
+    # the solve reads rho off the base and makes no image; the verifier's
+    # block pass makes each block's entrywise image of alpha_hat once
     c2 = builtin_group("C2")
     c4 = builtin_group("C4")
     base = prepare_base(build_idempotent_cover(c2, 3).monoid)
@@ -359,6 +370,9 @@ def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
 
     monkeypatch.setattr(constructions, "_alphabar", counted)
     sol = solve_embedding(prob, require_full=True)
+    assert made == {}
+    checks = constructions._check_blocks_enumerated(sol)
+    assert all(c.status == "pass" for c in checks)
     blocks = {blk for v in sol.mprime.elements for _, blk in v.data}
     assert set(made) == blocks
     assert max(made.values()) == 1
@@ -452,7 +466,7 @@ def test_mutation_is_detected():
     bcol, bval = blk.data[0]
     rows[0] = (col0, row_monomial([(bcol, c4.mul(bval, g))] + list(blk.data)[1:]))
     raw[1] = row_monomial(rows)
-    bad = assemble_embedding(probs["E2"], sol.p, raw, strict=False, cap=3000)
+    bad = assemble_embedding(probs["E2"], sol.p, raw, cap=3000)
     report = verify_embedding(bad)
     failures = [c for c in report.checks if c.status == "fail"]
     assert failures and all(c.witness for c in failures)
@@ -498,7 +512,7 @@ def ideal_cases(sol):
 def e2_mutation(probs):
     sol = solve_embedding(probs["E2"])
     return assemble_embedding(probs["E2"], sol.p, corrupt_block_entry(sol, probs["E2"]),
-                              strict=False, cap=MUTATION_CAP)
+                              cap=MUTATION_CAP)
 
 
 def test_counted_coverage_agrees_with_the_enumeration():
@@ -509,13 +523,17 @@ def test_counted_coverage_agrees_with_the_enumeration():
     for key, sol in sols.items():
         assert sol.mode == "full", key
         cases = ideal_cases(sol)
-        # the verifier's cases read M_v off the base walk, not a product fold
-        assert constructions._block_cases(sol, 0) == (cases, f"{len(cases)} elements of J'"), key
+        # the verifier's cases are all of M', with M_v read off rho, not a
+        # product fold; those in J' carry the coverage check
+        schutz = sol.problem.base.schutz.map
+        assert [(v, schutz[sol.rho_map[v]], w) for v, _, w in cases] == cases, key
+        single = constructions._check_blocks_enumerated(sol)[1]
+        assert single.witness == f"{len(cases)} elements of J'", key
         for case in cases:
             v, mv, w = case
             held, total = enumerated_preimages_held(sol, v, mv)
             assert total == sol.ell, key
-            _, coverage = constructions._check_blocks(sol, [case], "")
+            _, _, _, coverage = constructions._check_blocks(sol, [case], {v}, "")
             if held < total:
                 short.add(key)
                 assert coverage.witness == \
@@ -537,8 +555,8 @@ def test_e2_mutation_fails_counted_coverage():
 
 
 def with_element_replaced(sol, v, bad):
-    """A copy of a full-mode solution whose M' and J' hold ``bad`` in
-    place of v, under v's witness word."""
+    """A copy of a full-mode solution whose M', J' and rho hold ``bad`` in
+    place of v, under v's witness word and rho image."""
     m = sol.mprime
 
     def swap(x):
@@ -549,6 +567,7 @@ def with_element_replaced(sol, v, bad):
                                    m.generators, {swap(x): w for x, w in m.words.items()},
                                    m.right, m.left)
     doctored.ideal = SubSemigroup(doctored.mprime, map(swap, sol.ideal.elements))
+    doctored.rho_map = {swap(x): u for x, u in sol.rho_map.items()}
     return doctored
 
 
@@ -565,11 +584,80 @@ def test_single_column_reads_every_element_of_the_ideal():
     assert names["single-column"].witness == f"eta({sol.mprime.words[v]}) has several columns"
 
 
+def test_block_projection_reads_every_element_of_m_prime():
+    sol = solve_embedding(embedding_problems()["E2"], require_full=True)
+    h = sol.problem.h
+    v = next(x for x in reversed(sol.mprime.elements)
+             if x not in sol.ideal and x not in sol.raw)
+    rows = list(v.data)
+    col, blk = rows[0]
+    bcol, bval = blk.data[0]
+    rows[0] = (col, row_monomial([(bcol, h.mul(bval, h.generators[0]))] + list(blk.data[1:])))
+    doctored = with_element_replaced(sol, v, row_monomial(rows))
+    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    assert names["block-projection"].status == "fail"
+    assert names["block-projection"].witness == \
+        f"eta({sol.mprime.words[v]}) block row 0 does not lie over M_w"
+
+
+def test_ideal_identification_needs_e_prime_in_the_ideal():
+    sol = solve_embedding(embedding_problems()["E2"], require_full=True)
+    doctored = copy.copy(sol)
+    doctored.e_prime = sol.mprime.identity  # idempotent, outside J'
+    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    check = names["ideal-identification"]
+    assert (check.status, check.witness) == ("fail", "e' avoids J'")
+
+
+def test_rho_is_checked_on_every_edge_of_m_prime():
+    sol = solve_embedding(embedding_problems()["E2"], require_full=True)
+    m = sol.mprime
+    tree = {(x, a) for x in range(len(m))
+            for a in range(len(m.generators))
+            if m.words[m.elements[m.right[x][a]]] == m.words[m.elements[x]] + (a,)}
+    x, a = next((x, a) for x in range(len(m)) for a in range(len(m.generators))
+                if (x, a) not in tree)
+    rho = sol.rho_map
+    m.right[x][a] = next(j for j in range(len(m))
+                         if rho[m.elements[j]] != rho[m.elements[m.right[x][a]]])
+    names = {ch.name: ch for ch in verify_embedding(sol).checks}
+    w = m.words[m.elements[x]]
+    assert names["rho-on-generators"].status == "fail"
+    assert names["rho-on-generators"].witness == \
+        f"rho(eta({w}) * tilde_x[{a}]) is not rho(eta({w})) * g{a}"
+    for name in ("rho-ideal-image", "rho-subgroup-image"):
+        assert (names[name].status, names[name].witness) == ("skipped", "rho breaks an edge of M'")
+
+
+def test_solve_makes_no_base_product():
+    probs = embedding_problems()
+    for key in sorted(probs):
+        bm = probs[key].base.monoid
+        products = [0]
+        mul = bm.mul
+
+        def counted(x, y):
+            products[0] += 1
+            return mul(x, y)
+
+        bm.mul = counted
+        try:
+            sol = solve_embedding(probs[key], require_full=True)
+        finally:
+            bm.mul = mul
+        assert products[0] == 0, key
+        assert set(sol.rho_map.values()) == set(bm.elements), key
+    # the constructor checks nothing, so corrupted generators assemble
+    bad = e2_mutation(probs)
+    assert (bad.mode, len(bad.mprime)) == ("full", 120)
+
+
 def test_theta_iso_checks_every_edge_of_a_capped_group():
     probs = embedding_problems()
     sol = solve_embedding(probs["E2"])
-    capped = assemble_embedding(probs["E2"], sol.p, sol.raw, strict=False, cap=50)
-    assert capped.mode == "capped" and capped.theta is None
+    capped = assemble_embedding(probs["E2"], sol.p, sol.raw, cap=50)
+    # theta is the map, checked by the verifier; no homomorphism is built
+    assert capped.mode == "capped" and not hasattr(capped, "theta")
     names = {ch.name: ch for ch in verify_embedding(capped).checks}
     assert (names["theta-iso"].status, names["theta-iso"].witness) == ("pass", "|G'| = 4, |H| = 4")
     g = capped.group
