@@ -17,7 +17,6 @@ from .core import (
     direct_power,
     generate_monoid,
     is_isomorphic,
-    monoid_from_elements,
     omega_power,
     underlying,
 )
@@ -79,7 +78,6 @@ from .constructions import (
     verify_embedding,
 )
 from .defs import load_definitions, parse_definitions, write_cover_definition
-from .acceptance import run_acceptance, selftest_report, selftest_text
 
 __version__ = "0.1.0"
 
@@ -132,7 +130,6 @@ __all__ = [
     "make_table_mul",
     "maximal_subgroup",
     "minimal_ideal",
-    "monoid_from_elements",
     "normal_subgroups",
     "omega_power",
     "parse_definitions",
@@ -143,11 +140,8 @@ __all__ = [
     "rees_coordinates",
     "rlm",
     "row_monomial",
-    "run_acceptance",
     "schutz_faithful_quotient",
     "schutz_rep",
-    "selftest_report",
-    "selftest_text",
     "solve_embedding",
     "symmetric",
     "table_element",

@@ -7,13 +7,12 @@ and for every element a witness word over the generators.  A
 is passed wherever a monoid is expected and adds its Cayley table, which
 every group computation reads instead of multiplying elements.
 
-Monoids come from Froidure and Pin's walk, :func:`generate_monoid` (and
-:func:`monoid_from_elements` for a known closed set, which generates it
-from all of its elements): it keeps both Cayley graphs, x -> x·a and
-x -> a·x, and multiplies only the right edges that shorter words do not
-give.  Other generated sets (subgroups, normal closures, idempotent
-spans) come from the breadth-first walk :func:`closure`, and
-:func:`along_words` extends a value along witness words.
+Monoids come from Froidure and Pin's walk, :func:`generate_monoid`: it
+keeps both Cayley graphs, x -> x·a and x -> a·x, and multiplies only the
+right edges that shorter words do not give.  Other generated sets
+(subgroups, normal closures, idempotent spans) come from the
+breadth-first walk :func:`closure`, and :func:`along_words` extends a
+value along witness words.
 
 Both monoid builders validate what they return, exactly and at every
 size.  A product rule certified associative (see :mod:`eggbox.elements`)
@@ -40,7 +39,6 @@ from .elements import (
 from .errors import (
     CapExceeded,
     InconsistentProduct,
-    NotClosed,
     NotSurjective,
     NotWellDefined,
 )
@@ -56,7 +54,8 @@ class FiniteMonoid:
     the left one.  :func:`generate_monoid` hands in both graphs of its
     enumeration, with the product associative on M; a monoid built without
     them multiplies the right graph out here and Green's classification
-    (:func:`~eggbox.green.green_structure`) multiplies the left one out.
+    (:func:`~eggbox.green.green_structure`) multiplies the left one out
+    into ``left``.
     """
 
     __slots__ = (
@@ -315,30 +314,6 @@ def generate_monoid(
     return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right, left)
 
 
-def monoid_from_elements(
-    elements,
-    product_rule: Callable[[Element, Element], Element],
-    identity: Element,
-    name: Optional[str] = None,
-) -> FiniteMonoid:
-    """Monoid over an explicitly enumerated element set.
-
-    The set must contain the identity and be closed under the product; it
-    is generated from its sorted non-identity elements, so each of them is
-    a generator with a length-1 witness word.  The closure contains the
-    listed set, so it stays within the set's size exactly when the set is
-    closed; :class:`NotClosed` otherwise.
-    """
-    listed = set(elements)
-    if identity not in listed:
-        raise InconsistentProduct("identity not among the listed elements")
-    rest = sorted(listed - {identity})
-    try:
-        return generate_monoid(rest, product_rule, cap=len(listed), identity=identity, name=name)
-    except CapExceeded:
-        raise NotClosed(f"products of the {len(listed)} listed elements escape the set") from None
-
-
 def omega_power(m: FiniteMonoid, x: Element) -> Element:
     """The unique idempotent positive power of ``x``, by word walks."""
     p = i = m.index[x]
@@ -523,24 +498,32 @@ def canonical_section(alpha: MonoidHom) -> dict:
     return {k: mapping[k] for k in alpha.target.elements}
 
 
+def greedy_generators(table, identity: int = 0) -> list:
+    """A generating set of a finite monoid given by its table of indices:
+    in index order, each element that the ones before it do not generate."""
+    gens = []
+    reached = {identity}
+    for x in range(len(table)):
+        if x not in reached:
+            gens.append(x)
+            reached = closure([identity], gens, lambda y, g: table[y][g], key=None)[1]
+    return gens
+
+
 def table_isomorphism(t1, t2) -> Optional[list]:
     """An isomorphism between two group tables with the identity at index
     0, as the list of images of t1's indices, or None.  Exhaustive
-    backtracking over the images, of equal order, of a greedy generating
-    set of t1; a map :func:`_close_with_map` completes to all of t1 is an
-    isomorphism, as it checks f(x·g) = f(x)·f(g) on every x and g."""
+    backtracking over the images, of equal order, of t1's
+    :func:`greedy_generators`; a map :func:`_close_with_map` completes to
+    all of t1 is an isomorphism, as it checks f(x·g) = f(x)·f(g) on every
+    x and g."""
     if len(t1) != len(t2):
         return None
     o1, o2 = _element_orders(t1), _element_orders(t2)
     if sorted(o1) != sorted(o2):
         return None
 
-    gens = []
-    closed = {0}
-    for x in range(len(t1)):
-        if x not in closed:
-            gens.append(x)
-            closed = closure([0], gens, lambda y, g: t1[y][g], key=None)[1]
+    gens = greedy_generators(t1)
     by_order = {}
     for y, k in enumerate(o2):
         by_order.setdefault(k, []).append(y)

@@ -13,8 +13,9 @@ are 1-based:
 
 Generators are comma-separated; matrix and table rows are semicolon-
 separated within a generator; element expressions are ``#i`` (the i-th
-element of the object), cycle notation for permutations, or ``[..]``
-transformation images.  Names declared earlier in the file and built-in
+element of the object, see :func:`_numbered`), cycle notation for
+permutations, or ``[..]`` transformation images; a hom lists one image per
+generator of its source.  Names declared earlier in the file and built-in
 group names are both usable wherever an object is referenced.
 """
 
@@ -121,19 +122,32 @@ def _parse_images(text: str, lineno: int, col: int, degree: Optional[int] = None
     return transformation(t - 1 for t in images)
 
 
+def _int(text: str, lineno: int, col: int, message: str) -> int:
+    """``int(text)``, or a parse error with ``message``."""
+    try:
+        return int(text)
+    except ValueError:
+        _fail(lineno, col, message)
+
+
+def _numbered(m) -> list:
+    """``m``'s elements as ``#i`` counts them: a table group's identity and
+    then its other rows in table order, else in enumeration order."""
+    if m.identity.kind != "table":
+        return m.elements
+    return sorted(m.elements, key=lambda e: (e != m.identity, e.data[1]))
+
+
 def _element_expr(text: str, m, lineno: int, col: int) -> Element:
     """Resolve ``#i``, cycle notation or [images] inside the monoid ``m``."""
     body = text.strip()
     if not body:
         _fail(lineno, col, "empty element expression")
     if body.startswith("#"):
-        try:
-            i = int(body[1:])
-        except ValueError:
-            _fail(lineno, col, f"bad element index {body!r}")
+        i = _int(body[1:], lineno, col, f"bad element index {body!r}")
         if not 1 <= i <= len(m.elements):
             _fail(lineno, col, f"element index {i} out of range 1..{len(m.elements)}")
-        return m.elements[i - 1]
+        return _numbered(m)[i - 1]
     if body.startswith("("):
         degree = len(m.identity.data) if m.identity.kind == "transf" else 0
         if degree == 0:
@@ -208,10 +222,7 @@ def _parse_group(defs: Definitions, line: str, lineno: int):
     if len(head) != 4:
         _fail(lineno, 1, "group declarations read: group NAME perm|table K: ...")
     _, name, form, knum = head
-    try:
-        k = int(knum)
-    except ValueError:
-        _fail(lineno, 1, f"bad size {knum!r}")
+    k = _int(knum, lineno, 1, f"bad size {knum!r}")
     if form == "perm":
         if k < 1:
             _fail(lineno, 1, "perm degree must be at least 1")
@@ -244,10 +255,7 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
     head, payload, pcol = _head_and_payload(line, lineno)
     if len(head) == 4 and head[2] == "transf":
         _, name, _, knum = head
-        try:
-            k = int(knum)
-        except ValueError:
-            _fail(lineno, 1, f"bad degree {knum!r}")
+        k = _int(knum, lineno, 1, f"bad degree {knum!r}")
         gens = []
         for chunk, off in _split_top(payload):
             gens.append(_parse_images(chunk, lineno, pcol + off, degree=k))
@@ -257,10 +265,7 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
         return
     if len(head) == 6 and head[2] == "rowmono" and head[4] == "over":
         _, name, _, knum, _, gname = head
-        try:
-            k = int(knum)
-        except ValueError:
-            _fail(lineno, 1, f"bad size {knum!r}")
+        k = _int(knum, lineno, 1, f"bad size {knum!r}")
         try:
             entry = defs.resolve_container(gname)
         except UnknownObject as ex:
@@ -275,10 +280,7 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
                 parts = row.strip().split(None, 1)
                 if len(parts) != 2:
                     _fail(lineno, pcol + off, f"matrix row {row.strip()!r} is not 'COL ENTRY'")
-                try:
-                    col = int(parts[0])
-                except ValueError:
-                    _fail(lineno, pcol + off, f"bad column {parts[0]!r}")
+                col = _int(parts[0], lineno, pcol + off, f"bad column {parts[0]!r}")
                 if not 1 <= col <= k:
                     _fail(lineno, pcol + off, f"column {col} out of range 1..{k}")
                 built.append((col - 1, _element_expr(parts[1], entry, lineno, pcol + off)))
@@ -338,17 +340,20 @@ def _sanitize(name: str) -> str:
 
 
 def group_as_lines(g, name: Optional[str] = None):
-    """Declaration lines for a group, as an explicit table in element order."""
+    """Declaration lines for a group, as a table whose row i is ``#i``."""
     name = name or _sanitize(g.name)
-    rows = [" ".join(str(v + 1) for v in row) for row in g.table]
+    order = [g.index[e] for e in _numbered(g)]
+    row = {x: r + 1 for r, x in enumerate(order)}
+    rows = [" ".join(str(row[g.table[x][y]]) for y in order) for x in order]
     return name, [f"group {name} table {len(rows)}: " + "; ".join(rows)]
 
 
 def cover_as_lines(c):
     """Declaration lines for a cover's generators over its entry group."""
     gname, lines = group_as_lines(c.group)
+    number = {e: i + 1 for i, e in enumerate(_numbered(c.group))}
     def fmt(mat):
-        return "; ".join(f"{col + 1} #{c.group.index[v] + 1}" for col, v in mat.data)
+        return "; ".join(f"{col + 1} #{number[v]}" for col, v in mat.data)
     mname = _sanitize(c.monoid.name if c.monoid is not None else f"cover_{c.group.name}_{c.n}")
     lines.append(
         f"monoid {mname} rowmono {c.n} over {gname}: {fmt(c.x)}, {fmt(c.y)}")

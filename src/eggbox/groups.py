@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .core import FiniteGroup, is_isomorphic, monoid_from_elements, product_group
-from .core import generate_monoid
+from .core import FiniteGroup, generate_monoid, greedy_generators, is_isomorphic, product_group
 from .elements import compose_transformations, make_table_mul, table_element, transformation
 from .errors import InconsistentProduct, UnknownObject
 
@@ -122,7 +121,10 @@ def dicyclic(n: int) -> FiniteGroup:
 
 
 def group_from_table(name: str, table) -> FiniteGroup:
-    """Group from a full multiplication table of 0-based indices."""
+    """Group from a full multiplication table of 0-based indices, generated
+    from the table's :func:`~eggbox.core.greedy_generators`, which reach
+    every element; :func:`~eggbox.core.generate_monoid` then checks the
+    table's associativity and :meth:`FiniteGroup.from_monoid` its inverses."""
     k = len(table)
     for row in table:
         if len(row) != k or any(not isinstance(v, int) or not 0 <= v < k for v in row):
@@ -136,7 +138,8 @@ def group_from_table(name: str, table) -> FiniteGroup:
         raise InconsistentProduct("table has no identity element")
     elems = [table_element(name, i) for i in range(k)]
     mul = make_table_mul([tuple(r) for r in table], name)
-    m = monoid_from_elements(elems, mul, elems[ident], name=name)
+    seeds = [elems[x] for x in greedy_generators(table, ident)]
+    m = generate_monoid(seeds, mul, cap=k, identity=elems[ident], name=name)
     return FiniteGroup.from_monoid(m)
 
 

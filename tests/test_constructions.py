@@ -379,6 +379,29 @@ def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
     assert len(sol.mprime) > 10 * len(blocks)
 
 
+def test_embedding_over_a_cover_base_walks_few_words(monkeypatch):
+    # Green's structure of M' comes from its two Cayley graphs, its minimal
+    # ideal needs no idempotent sweep and the rho image checks go by H-class:
+    # the solve plus verify made 4,410 word walks when each element of J'
+    # was squared and each target subgroup was built
+    c2 = builtin_group("C2")
+    c4 = builtin_group("C4")
+    base = prepare_base(build_idempotent_cover(c2, 3).monoid)
+    prob = EmbeddingProblem(MonoidHom.from_generator_images(c4, c2, [c2.generators[0]]), base)
+    walks = [0]
+    times = FiniteMonoid.times
+
+    def counted(m, i, j):
+        walks[0] += 1
+        return times(m, i, j)
+
+    monkeypatch.setattr(FiniteMonoid, "times", counted)
+    sol = solve_embedding(prob, require_full=True)
+    assert len(sol.mprime) == 4422
+    assert verify_embedding(sol).passed
+    assert walks[0] <= 20
+
+
 def test_problem_validation():
     c2 = builtin_group("C2")
     c4 = builtin_group("C4")

@@ -13,7 +13,6 @@ from eggbox.core import (
     direct_power,
     generate_monoid,
     is_isomorphic,
-    monoid_from_elements,
     omega_power,
 )
 from eggbox.elements import (
@@ -27,7 +26,6 @@ from eggbox.elements import (
 from eggbox.errors import (
     CapExceeded,
     InconsistentProduct,
-    NotClosed,
     NotSurjective,
     NotWellDefined,
 )
@@ -247,8 +245,6 @@ def test_cap_exceeded_matches_the_plain_walk():
         expected = cap_exceeded(lambda: closure([m.identity], m.generators, m.mul, cap=cap))
         assert (expected is None) == (cap >= len(m))
         assert cap_exceeded(lambda: generate_monoid(m.generators, m.mul, cap=cap, identity=m.identity)) == expected
-    with pytest.raises(NotClosed):
-        monoid_from_elements(m.elements[:-1], m.mul, m.identity)
 
 
 def test_group_from_monoid_rejects_non_group():
@@ -257,20 +253,6 @@ def test_group_from_monoid_rejects_non_group():
     )
     with pytest.raises(InconsistentProduct):
         FiniteGroup.from_monoid(m)
-
-
-def test_monoid_from_elements_closure_check():
-    ident = transformation([0, 1, 2])
-    cyc = transformation([1, 2, 0])
-    # {1, c} misses c^2, so the closure check must object
-    with pytest.raises(NotClosed):
-        monoid_from_elements([ident, cyc], compose_transformations, ident)
-    ok = monoid_from_elements(
-        [ident, cyc, compose_transformations(cyc, cyc)],
-        compose_transformations,
-        ident,
-    )
-    assert len(ok.elements) == 3
 
 
 def test_hom_from_generator_images_validates():

@@ -11,6 +11,7 @@ from eggbox.defs import (
     parse_definitions,
     write_cover_definition,
 )
+from eggbox.elements import table_element
 from eggbox.errors import ParseError, UnknownObject
 from eggbox.green import maximal_subgroup, minimal_ideal
 from eggbox.groups import builtin_group, identify
@@ -43,6 +44,25 @@ def test_hash_names_elements_not_comments():
     # '#1' in a payload is the first element, never a trailing comment
     defs = parse_definitions("group T table 1: 1\nmonoid R rowmono 2 over T: 2 #1; 1 #1")
     assert len(defs.monoids["R"].elements) == 2
+
+
+def test_hash_counts_table_rows():
+    # Q8 is generated from two of its rows, so it enumerates them out of
+    # row order; #i still names row i
+    q8 = builtin_group("Q8")
+    assert [e.data[1] for e in q8.elements] != list(range(8))
+    for i in range(1, 9):
+        defs = parse_definitions(f"monoid R rowmono 2 over Q8: 2 #{i}; 1 #1")
+        assert defs.monoids["R"].generators[0].data[0][1] == table_element("Q8", i - 1)
+    # Q8 is generated by rows 2 and 3, so a hom out of it takes two images
+    identity = parse_definitions("hom h from Q8 to Q8: #2, #3").homs["h"]
+    assert identity.is_surjective()
+    assert "2 generators" in str(parse_error("hom h from Q8 to Q8: #2, #3, #4"))
+    # the identity counts first wherever its row is, then the other rows
+    defs = parse_definitions("group T table 3: 2 3 1; 3 1 2; 1 2 3\n"
+                             "monoid R rowmono 2 over T: 2 #1; 1 #2, 2 #3; 1 #1")
+    x, y = defs.monoids["R"].generators
+    assert [e.data[1] for _, e in x.data + y.data] == [2, 0, 1, 2]
 
 
 def test_resolution():
@@ -109,6 +129,25 @@ def test_cover_round_trip(tmp_path):
     assert write_cover_definition(c, str(path)) == mname
     again = load_definitions(str(path))
     assert len(again.monoids[mname].elements) == 21
+
+
+def test_cover_round_trip_keeps_every_element():
+    # G lists a generator the others generate; the table written for it is
+    # enumerated from fewer generators on reload, in another order, and
+    # the reloaded cover is still the same set of matrices once each entry,
+    # row r of the written table, is read as element r of G
+    g = parse_definitions("group G perm 3: (1 2), (1 3), (2 3)").groups["G"]
+    c = build_idempotent_cover(g, 11)
+    mname, lines = cover_as_lines(c)
+    defs = parse_definitions("\n".join(lines))
+    (written,) = defs.groups.values()
+    assert [e.data[1] for e in written.elements] != list(range(6))
+    reloaded = defs.monoids[mname]
+    assert len(reloaded.elements) == len(c.monoid.elements) == 737
+    def back(b):
+        return tuple((col, g.elements[e.data[1]]) for col, e in b.data)
+    assert [back(b) for b in reloaded.generators] == [a.data for a in c.monoid.generators]
+    assert {back(b) for b in reloaded.elements} == {a.data for a in c.monoid.elements}
 
 
 def test_shipped_definition_files():

@@ -97,11 +97,13 @@ def test_left_graph_read_off_the_closure_matches_products():
     assert [len(m) for m in monoids] == [256, 27, 25, 21, 80, 737]
     for m in monoids:
         assert m.left is not None
-        assert green_structure(m).left == multiplied_left_graph(m)
-    # a monoid handed no edges multiplies both graphs out
+        assert m.left == multiplied_left_graph(m)
+    # a monoid handed no edges multiplies both graphs out, the left one
+    # when it is classified
     bare = FiniteMonoid("T4-bare", t4.elements, t4.mul, t4.identity, t4.generators, t4.words)
     assert bare.left is None
-    assert green_structure(bare).left == multiplied_left_graph(t4)
+    green_structure(bare)
+    assert bare.left == multiplied_left_graph(t4)
 
 
 def test_times_walks_agree_with_products():
@@ -305,3 +307,53 @@ def test_check_min_ideal_image_on_group_quotient():
     alpha = MonoidHom.from_generator_images(c4, c2, [c2.generators[0]])
     report = check_min_ideal_image(alpha)
     assert report.passed
+
+
+def test_green_runs_tarjan_on_the_two_graphs_only(monkeypatch):
+    # J = D is read off the R- and L-classes: no third run on a joined graph
+    from eggbox import green
+
+    runs = []
+    components = green._components
+
+    def counted(succ):
+        runs.append(succ)
+        return components(succ)
+
+    monkeypatch.setattr(green, "_components", counted)
+    t4 = generate_monoid([transformation(t) for t in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3))],
+                         compose_transformations, name="T4")
+    # the cover's closure again, not yet classified
+    c = build_idempotent_cover(builtin_group("C3"), 5, mode="full").monoid
+    cover = generate_monoid(c.generators, c.mul, identity=c.identity, name="C3-cover")
+    for m in (t4, cover):
+        runs.clear()
+        gs = green_structure(m)
+        assert runs == [m.right, m.left]
+        assert set(gs.j_classes[gs.j_sinks[0]]) == naive_minimal_ideal_elements(m)
+    # T4's classes meet the oracle in test_green_products_are_linear_in_the_generators
+    assert green_counts_agree(cover)
+
+
+def test_subgroup_image_fails_on_an_h_class_sent_off_its_image():
+    # swap a non-first member x of the ideal's first H-class with an element
+    # y of another H-class: the ideal still maps onto the ideal, but that
+    # H-class no longer maps onto the H-class of its first member's image
+    m = build_idempotent_cover(builtin_group("C2"), 3).monoid
+    ideal = minimal_ideal(m)
+    gs = green_structure(m)
+    first = gs.h_classes[gs.h_class_of[ideal.elements[0]]]
+    x = first[1]
+    y = next(v for v in ideal.elements if gs.h_class_of[v] != gs.h_class_of[x])
+    swap = {x: y, y: x}
+    phi = MonoidHom(m, m, {v: swap.get(v, v) for v in m.elements}, check=False)
+    names = {ch.name: ch for ch in check_min_ideal_image(phi).checks}
+    assert names["ideal-image"].status == "pass"
+    e = next(v for v in first if m.mul(v, v) == v)
+    assert (names["subgroup-image"].status, names["subgroup-image"].witness) == \
+        ("fail", f"at idempotent {e!r}")
+    # the identity map passes, one H-class per idempotent of the ideal
+    names = {ch.name: ch for ch in check_min_ideal_image(MonoidHom(m, m, {v: v for v in m.elements})).checks}
+    n_idem = sum(m.mul(v, v) == v for v in ideal.elements)
+    assert (names["subgroup-image"].status, names["subgroup-image"].witness) == \
+        ("pass", f"idempotents={n_idem}")
