@@ -748,7 +748,7 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str):
     the first case with a block off M_w, as (w, row), and the set of cases
     constant on one column."""
     ahat = sol.problem.alpha_hat
-    made = {}  # block -> (its column if constant, the key of its image under alpha_hat)
+    made = {}  # block -> (its column if constant, its image under alpha_hat)
     off = first = None  # the first case with a block off M_w; the first in member failing a check
     const = set()
     for eta, mw, w in cases:
@@ -756,15 +756,15 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str):
         for blk in {blk for _, blk in eta.data}:
             got = made.get(blk)
             if got is None:
-                got = made[blk] = (_constant_col(blk), _alphabar(ahat, blk).key)
+                got = made[blk] = (_constant_col(blk), _alphabar(ahat, blk))
             blocks.append(got)
-        inner, keys = zip(*blocks)
+        inner, images = zip(*blocks)
         flat = len({c for c, _ in eta.data}) == 1 and len(set(inner)) == 1 and inner[0] is not None
-        held = keys.count(mw.key)
+        held = images.count(mw)
         if flat:
             const.add(eta)
         if off is None and held < len(blocks):
-            off = w, next(r for r, (_, blk) in enumerate(eta.data) if made[blk][1] != mw.key)
+            off = w, next(r for r, (_, blk) in enumerate(eta.data) if made[blk][1] is not mw)
         if first is None and eta in member and (not flat or held != sol.ell):
             first = w, flat, held
     single = Check("single-column", PASS, scope)

@@ -51,11 +51,11 @@ class FiniteMonoid:
 
     ``right[i][t]`` is the index of x·a for the i-th element x and the t-th
     generator a: the right Cayley graph; ``left[i][t]``, that of a·x, is
-    the left one.  :func:`generate_monoid` hands in both graphs of its
-    enumeration, with the product associative on M; a monoid built without
-    them multiplies the right graph out here and Green's classification
-    (:func:`~eggbox.green.green_structure`) multiplies the left one out
-    into ``left``.
+    the left one.  :func:`generate_monoid` hands in both graphs and the
+    index of its enumeration, with the product associative on M; a monoid
+    built without them multiplies the right graph out here and Green's
+    classification (:func:`~eggbox.green.green_structure`) multiplies the
+    left one out into ``left``.
     """
 
     __slots__ = (
@@ -72,13 +72,13 @@ class FiniteMonoid:
         "_ideal",
     )
 
-    def __init__(self, name, elements, mul, identity, generators, words, right=None, left=None):
+    def __init__(self, name, elements, mul, identity, generators, words, right=None, left=None, index=None):
         self.name = name
         self.elements = tuple(elements)
         self.mul = mul
         self.identity = identity
         self.generators = tuple(generators)
-        self.index = index = {x: i for i, x in enumerate(self.elements)}
+        self.index = index = index or {x: i for i, x in enumerate(self.elements)}
         self.words = words
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
@@ -311,7 +311,7 @@ def generate_monoid(
         carrier = getattr(product_rule, "carrier", None)
         if carrier is not None and all(x in index for x in carrier):
             product_rule.associative = True
-    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right, left)
+    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right, left, index)
 
 
 def omega_power(m: FiniteMonoid, x: Element) -> Element:

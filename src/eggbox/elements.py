@@ -17,19 +17,13 @@ immutable value of one of four kinds:
 ``tuple``
     a componentwise product of elements, used for direct products.
 
-Elements order and hash by a canonical nested-tuple key, which is also what
-deterministic tie-breaking compares.  Iteration
-order of results throughout the library is derived from these keys and from
-breadth-first discovery order, never from Python set iteration, so output is
-stable across processes and hash seeds.
-
-A row-monomial product rule from :func:`make_rowmono_mul` multiplies each
-distinct pair of entries once, so a product of n-row matrices costs n
-dictionary lookups rather than n entry products.  It hands out equal
-entries as one shared object, and one shared row and key pair per distinct
-(column, entry): the garbage collector tracks every tuple that holds an
-:class:`Element`.  Keys, and so equality, order and hashing, are the same
-as for matrices built by :func:`row_monomial`.
+Elements are hash-consed: building a value that is alive returns the live
+object, so equality is identity and hashing is by address, both in C.
+Nothing assigns to an element's fields after construction, and one thread
+builds elements: the table of live ones takes no lock.  Elements order by
+a canonical key, which deterministic tie-breaking compares.  Result order
+comes from these keys and breadth-first discovery, never from iterating a
+set, so output is stable across processes and hash seeds.
 
 Every product rule made here carries a certificate, its ``associative``
 attribute: True means the rule is associative on every input it accepts,
@@ -43,23 +37,51 @@ plain callable without the attribute counts as uncertified.
 
 from __future__ import annotations
 
+import weakref
+
 from .errors import InconsistentProduct, NotRowMonomial
 
 
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the key of the element referred to
+
+
+def _drop(ref):
+    if _live.get(ref.key) is ref:  # else a new element holds the key already
+        del _live[ref.key]
+
+
+_live = {}  # key -> _Ref of the one live element with that key
+
+
 class Element:
-    __slots__ = ("kind", "data", "key", "_hash")
+    """``Element(kind, data, key)`` is the live element with ``key`` if there
+    is one (E. Goto, "Monocopy and associative algorithms in an extended
+    Lisp", 1974; J.-C. Filliâtre and S. Conchon, "Type-safe modular
+    hash-consing", 2006).  Keys hold sub-elements, not their keys:
+    ``("m", n, rows)`` with the (column, entry) rows that are a matrix's
+    ``data``, and ``("p", components)``.  Equal sub-elements are one object,
+    so key equality is value equality and a key hashes one pointer per
+    entry.  The order is that of fully nested keys: comparing key tuples
+    finds the first unequal items by identity and orders them by ``<``,
+    which on distinct elements compares their keys, by induction on depth.
+    """
 
-    def __init__(self, kind: str, data, key):
-        self.kind = kind
-        self.data = data
-        self.key = key
-        self._hash = hash(key)
+    __slots__ = ("kind", "data", "key", "__weakref__")
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, kind: str, data, key):
+        ref = _live.get(key)
+        x = ref and ref()
+        if x is None:
+            x = object.__new__(cls)
+            x.kind, x.data, x.key = kind, data, key
+            ref = _live[key] = _Ref(x, _drop)
+            ref.key = key
+        return x
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Element) and self.key == other.key)
+    def __reduce__(self):
+        # a copy or an unpickled element is the live one
+        return Element, (self.kind, self.data, self.key)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -88,20 +110,20 @@ def table_element(label: str, index: int) -> Element:
 
 def row_monomial(rows) -> Element:
     """Row-monomial matrix from a sequence of (column, entry) rows."""
-    rows = tuple(rows)
+    rows = tuple(map(tuple, rows))
     n = len(rows)
     for col, entry in rows:
         if not isinstance(col, int) or not 0 <= col < n:
             raise NotRowMonomial(f"column {col!r} out of range for size {n}")
         if not isinstance(entry, Element):
             raise NotRowMonomial(f"entry {entry!r} is not an Element")
-    return Element("rowmono", rows, ("m", n, tuple((c, e.key) for c, e in rows)))
+    return Element("rowmono", rows, ("m", n, rows))
 
 
 def tuple_element(components) -> Element:
     """Componentwise product element."""
     components = tuple(components)
-    return Element("tuple", components, ("p", tuple(e.key for e in components)))
+    return Element("tuple", components, ("p", components))
 
 
 def compose_transformations(a: Element, b: Element) -> Element:
@@ -155,17 +177,11 @@ def make_rowmono_mul(entry_mul):
     Row i of X*Y: if row i of X is (c, v) and row c of Y is (d, w) then row i
     of the product is (d, v*w).
 
-    Each rule multiplies each distinct entry pair (v, w) once.  The first
-    ``entry_mul(v, w)`` is checked to be an :class:`Element`, interned in the
-    rule's own canonical dict and remembered; every later product with that
-    pair reads it back.  Operand entries are interned too, so equal entries
-    are one shared object and a memo lookup matches them by identity
-    instead of calling ``Element.__eq__``.  The canonical dict maps each
-    entry e to itself and its rows by column d, each ``((d, e), (d, e.key))``
-    made once, and the memo maps a pair to that of its product, so a
-    product allocates no row or key pair for the garbage collector to
-    track.  The memo and the canonical dict belong to the returned rule
-    and are freed with it.
+    Each rule multiplies each distinct entry pair (v, w) once and remembers
+    the product e, checked to be an :class:`Element`, with one row (d, e)
+    per column d, shared by every pair whose product is e: the garbage
+    collector tracks every tuple that holds an element.  The memo belongs
+    to the returned rule and is freed with it.
 
     The product is built without :func:`row_monomial`, whose checks hold
     already: each column is a column of the validated operand Y, of the
@@ -182,8 +198,8 @@ def make_rowmono_mul(entry_mul):
     (uv)w and u(vw), which agree.  The memo hands back the value
     ``entry_mul`` gave for the pair, so it changes nothing here.
     """
-    memo = {}
-    canon = {}
+    memo = {}  # (v, w) -> (v*w, its rows by column)
+    rows_of = {}  # e -> (e, its rows by column), shared by every pair with product e
 
     def mul(x: Element, y: Element) -> Element:
         if x.kind != "rowmono" or y.kind != "rowmono":
@@ -193,27 +209,21 @@ def make_rowmono_mul(entry_mul):
         if n != len(ry):
             raise InconsistentProduct("matrix sizes differ")
         rows = []
-        keys = []
         for c, v in rx:
             d, w = ry[c]
             hit = memo.get((v, w))
             if hit is None:
-                v = canon.setdefault(v, (v, {}))[0]
-                w = canon.setdefault(w, (w, {}))[0]
                 e = entry_mul(v, w)
                 if not isinstance(e, Element):
                     raise NotRowMonomial(f"entry {e!r} is not an Element")
-                hit = memo[v, w] = canon.setdefault(e, (e, {}))
+                hit = memo[v, w] = rows_of.setdefault(e, (e, {}))
             e, by_column = hit
             row = by_column.get(d)
             if row is None:
-                row = by_column[d] = ((d, e), (d, e.key))
-            rows.append(row[0])
-            keys.append(row[1])
-        # no row_monomial() checks needed: each column d comes from the
-        # validated operand y of size n, and each entry was checked to be an
-        # Element when it entered the memo
-        return Element("rowmono", tuple(rows), ("m", n, tuple(keys)))
+                row = by_column[d] = (d, e)
+            rows.append(row)
+        rows = tuple(rows)
+        return Element("rowmono", rows, ("m", n, rows))
 
     mul.associative = getattr(entry_mul, "associative", False)
     return mul

@@ -51,34 +51,27 @@ class GreenStructure:
     generators on both sides."""
 
     __slots__ = ("monoid", "r_classes", "l_classes", "j_classes", "h_classes", "r_class_of",
-                 "l_class_of", "j_class_of", "h_class_of", "j_sinks")
+                 "l_class_of", "h_class_of", "j_sinks")
 
     def __init__(self, monoid, r, l, j, h, j_sinks):
         self.monoid = monoid
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
-        self.j_classes, self.j_class_of = j
+        self.j_classes = j
         self.h_classes, self.h_class_of = h
         self.j_sinks = j_sinks
 
 
-def _group_classes(elements, value_of):
-    """Group elements by a computed value; classes ordered by first member,
-    members kept in element order."""
-    class_of = {}
-    classes = []
-    seen = {}
-    for x in elements:
-        v = value_of(x)
-        ci = seen.get(v)
-        if ci is None:
-            ci = len(classes)
-            seen[v] = ci
-            classes.append([x])
-        else:
-            classes[ci].append(x)
-        class_of[x] = ci
-    return tuple(tuple(c) for c in classes), class_of
+def _group_classes(elements, values):
+    """Group elements by their values, listed in element order; classes
+    ordered by first member, members kept in element order."""
+    class_of, classes, seen = {}, [], {}
+    for x, v in zip(elements, values):
+        ci = class_of[x] = seen.setdefault(v, len(classes))
+        if ci == len(classes):
+            classes.append([])
+        classes[ci].append(x)
+    return tuple(map(tuple, classes)), class_of
 
 
 def _components(succ):
@@ -160,14 +153,10 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
             j_of_l[lc] = rc
     j_comp = [j_of_l[lc] for lc in l_comp]
 
-    def by(comp):
-        return _group_classes(els, lambda x: comp[idx[x]])
-
-    r = by(r_comp)
-    l = by(l_comp)
-    j = by(j_comp)
-    r_class_of, l_class_of = r[1], l[1]
-    h = _group_classes(els, lambda x: (r_class_of[x], l_class_of[x]))
+    r = _group_classes(els, r_comp)
+    l = _group_classes(els, l_comp)
+    j = _group_classes(els, j_comp)[0]
+    h = _group_classes(els, zip(r_comp, l_comp))
 
     # a J-class is a sink when no edge of either graph leaves it
     exits = set()
@@ -176,7 +165,7 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
             for w in succ:
                 if j_comp[w] != ji:
                     exits.add(ji)
-    j_sinks = tuple(ci for ci, cls in enumerate(j[0]) if j_comp[idx[cls[0]]] not in exits)
+    j_sinks = tuple(ci for ci, cls in enumerate(j) if j_comp[idx[cls[0]]] not in exits)
     gs = GreenStructure(m, r, l, j, h, j_sinks)
     m._green = gs
     return gs

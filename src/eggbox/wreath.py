@@ -106,8 +106,7 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     listed = set(_constant_column_matrices(g, b))
     if set(monoid.elements) != listed | {ident}:
         raise InternalInconsistency("the generated constant wreath is not the listed set")
-    # the monoid's own element objects, whose entries its product rule interned
-    simple = SubSemigroup(monoid, [x for x in monoid.elements if x in listed])
+    simple = SubSemigroup(monoid, listed)
     if minimal_ideal(monoid).member != simple.member:
         raise InternalInconsistency("constant wreath simple part is not the minimal ideal")
     return ConstantWreath(g, b, monoid, simple)

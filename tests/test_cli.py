@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,24 @@ def test_cover_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "cover", "C2xC2", "7")
     _, second, _ = run(capsys, "cover", "C2xC2", "7")
     assert first == second
+
+
+def fresh_stdout(hashseed, *argv):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    proc = subprocess.run([sys.executable, "-m", "eggbox", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("cover", "C3", "6"),
+    ("analyze", "S3", "--defs", str(DEFS_DIR / "covers.defs")),
+])
+def test_output_is_the_same_in_fresh_processes(argv):
+    # elements hash by address, which differs from process to process, so
+    # no output may follow the iteration order of a set of elements
+    assert fresh_stdout("0", *argv) == fresh_stdout("31337", *argv)
 
 
 def test_embed_declared_problem(capsys):

@@ -1,14 +1,18 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
-from eggbox import constructions
+from eggbox import constructions, elements
 from eggbox.constructions import build_idempotent_cover, verify_cover
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
     make_rowmono_mul,
     make_table_mul,
+    make_tuple_mul,
     row_monomial,
     table_element,
     transformation,
@@ -169,22 +173,31 @@ def test_cover_entries_are_shared_objects():
 
 @pytest.mark.parametrize("name, n", [("C3", 6), ("S3", 23)])
 def test_cover_products_share_one_row_per_column_and_entry(name, n):
-    # every element past the generators is a product of the rule, and its
-    # rows are the n·|H| shared (column, entry) objects
+    # every element past the generators is a product of the cover's rule,
+    # unless it was alive before the rule made it: a cover still alive
+    # from an earlier test would lend this one its elements and their rows
+    gc.collect()
     h = builtin_group(name)
     m = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid
-    rows = {id(r) for x in m.elements if len(m.words[x]) >= 2 for r in x.data}
-    assert len(rows) == n * len(h.elements)
+    # the rule's products share one row per (column, entry), all n·|H| used
+    rows = [r for x in m.elements if len(m.words[x]) >= 2 for r in x.data]
+    assert len({id(r) for r in rows}) == len(set(rows)) == n * len(h.elements)
+    # a second cover built while the first is alive is made of its objects
+    again = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid
+    assert all(x is y and x.data is y.data for x, y in zip(m.elements, again.elements))
 
 
-def assert_rows_shared(products):
-    """Equal rows, and equal key pairs, of the products are one object."""
-    rows, keys = {}, {}
+def assert_rows_shared(products, operands):
+    """Equal rows of the products the rule made are one object; a product
+    that was alive already, as an operand, keeps the rows it was made with."""
+    alive = {id(x) for x in operands}
+    rows = {}
     count = 0
     for p in products:
-        for row, pair in zip(p.data, p.key[2]):
+        if id(p) in alive:
+            continue
+        for row in p.data:
             assert rows.setdefault(row, row) is row
-            assert keys.setdefault(pair, pair) is pair
             count += 1
     assert len(rows) < count  # some row value came back
 
@@ -193,12 +206,16 @@ def test_rowmono_rule_hands_out_shared_rows():
     s3 = builtin_group("S3")
     mul = make_rowmono_mul(s3.mul)
     rnd = random.Random(13)
-    products = []
+    operands, products = [], []
     for _ in range(100):
         x = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
         y = random_matrix(rnd, 6, lambda: rnd.choice(s3.elements))
+        operands += [x, y]
         products.append(mul(x, y))
-    assert_rows_shared(products)
+    one = identity_row_monomial(6, s3.identity)
+    products.append(mul(x, one))
+    assert products[-1] is x and products[-1].data is x.data
+    assert_rows_shared(products, operands)
 
 
 def test_block_rule_hands_out_shared_rows():
@@ -210,12 +227,49 @@ def test_block_rule_hands_out_shared_rows():
     def inner():
         return random_matrix(rnd, 2, lambda: rnd.choice(c4.elements))
 
-    products = []
+    operands, products = [], []
     for _ in range(100):
         x = random_matrix(rnd, 3, inner)
         y = random_matrix(rnd, 3, inner)
+        operands += [x, y]
         products.append(block_mul(x, y))
-    assert_rows_shared(products)
+    one = identity_row_monomial(3, identity_row_monomial(2, c4.identity))
+    products.append(block_mul(one, y))
+    assert products[-1] is y and products[-1].data is y.data
+    assert_rows_shared(products, operands)
+
+
+def test_equal_values_are_one_object():
+    s3 = builtin_group("S3")
+    a, b = s3.elements[1], s3.elements[2]
+    mul = make_rowmono_mul(s3.mul)
+    x = row_monomial([(1, a), (0, b)])
+    xx = mul(x, x)
+    assert row_monomial([(0, s3.mul(a, b)), (1, s3.mul(b, a))]) is xx
+    pair = make_tuple_mul([s3.mul, mul])
+    got = pair(tuple_element((a, x)), tuple_element((b, x)))
+    assert tuple_element((s3.mul(a, b), xx)) is got
+    assert transformation([1, 0]) is transformation((1, 0))
+    assert table_element("t", 3) is table_element("t", 3)
+
+
+def test_a_dropped_cover_leaves_no_live_elements():
+    c3 = builtin_group("C3")
+    gc.collect()
+    before = len(elements._live)
+    c = build_idempotent_cover(c3, 6, mode="full")
+    assert len(elements._live) >= before + len(c.monoid.elements)
+    del c
+    gc.collect()
+    assert len(elements._live) == before
+
+
+def test_copies_and_pickles_are_the_live_element():
+    c4 = builtin_group("C4")
+    x = row_monomial([(1, tuple_element((c4.elements[1], transformation([0, 0])))), (0, c4.identity)])
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
 
 
 def test_rowmono_rule_rejects_a_non_element_entry():
