@@ -3,7 +3,7 @@
 Subcommands drive the constructions and print a human-readable body
 followed by a ``---`` separated machine-readable trailer of key=value
 lines.  Exit codes: 0 all checks passed, 1 a verification check failed,
-2 bad input, 3 a closure cap was exceeded.
+2 bad input, 3 a closure cap was exceeded or memory ran out.
 """
 
 from __future__ import annotations
@@ -230,6 +230,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -446,19 +446,14 @@ def prepare_base(m) -> PreparedBase:
     if not is_faithful_on_min_ideal(m):
         m, to_faithful = schutz_faithful_quotient(m)
     ideal = minimal_ideal(m)
-    w0 = None
-    for xel in ideal.elements:
-        cand = m.words[xel]
-        if w0 is None or (len(cand), cand) < (len(w0), w0):
-            w0 = cand
-    word = tuple(w0) + tuple(range(len(m.generators)))
-    z = m.eval_word(word)
-    if z not in ideal.member:
-        raise InternalInconsistency("the full-support word left the minimal ideal")
     idx, times = m.index, m.times
+    x0 = min((idx[x] for x in ideal.elements), key=lambda i: (len(m.word(i)), m.word(i)))
+    word = m.word(x0) + tuple(range(len(m.generators)))
+    # z = eval(w), walked from x0 along the generators, lies in the ideal
+    z = reduce(lambda i, t: m.right[i][t], range(len(m.generators)), x0)
     og1 = idx[omega_power(m, m.generators[0])]
     og2 = idx[omega_power(m, m.generators[1])]
-    f = omega_power(m, m.elements[times(times(og1, idx[z]), og2)])
+    f = omega_power(m, m.elements[times(times(og1, z), og2)])
     fi = idx[f]
     if f not in ideal.member or times(fi, fi) != fi:
         raise InternalInconsistency("anchored element is not a kernel idempotent")
@@ -679,9 +674,9 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
 
     ideal_p = None
     rho_map = {}
+    bm = base.monoid
     if mprime is not None:
         ideal_p = minimal_ideal(mprime)
-        bm = base.monoid
         at = along_words(mprime, bm.index[bm.identity], lambda i, t: bm.right[i][t])
         rho_map = {v: bm.elements[i] for v, i in zip(mprime.elements, at)}
         group = maximal_subgroup(mprime, e_prime, ideal=ideal_p)
@@ -692,7 +687,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
             seeds.append(block_mul(block_mul(e_prime, cj), e_prime))
             cj = block_mul(cj, cycler)
         for kk in base.group.elements:
-            acc = reduce(block_mul, (raw[gi] for gi in base.monoid.words[kk]), block_ident)
+            acc = reduce(block_mul, (raw[gi] for gi in bm.word(bm.index[kk])), block_ident)
             seeds.append(block_mul(block_mul(e_prime, acc), e_prime))
         group = generate_monoid(seeds, block_mul, cap=cap, identity=e_prime,
                                 name=f"G'[{h.name}]")
@@ -737,9 +732,10 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
                  f"{len(sol.raw)} generators x {sol.p} blocks")
 
 
-def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str):
-    """Single-column and preimage coverage over the cases (eta(w), M_w, w)
-    that lie in ``member``, every case's blocks read once.
+def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str, word):
+    """Single-column and preimage coverage over the cases (eta(w), M_w, label)
+    that lie in ``member``, every case's blocks read once; ``word`` rebuilds
+    w from its label, only for a case that a witness names.
 
     Each fibre of alpha_hat is a coset of its kernel, so M_w has nu^b = ell
     preimages, all in M_w's columns: eta(w) holds them all exactly when ell
@@ -751,7 +747,7 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str):
     made = {}  # block -> (its column if constant, its image under alpha_hat)
     off = first = None  # the first case with a block off M_w; the first in member failing a check
     const = set()
-    for eta, mw, w in cases:
+    for eta, mw, label in cases:
         blocks = []
         for blk in {blk for _, blk in eta.data}:
             got = made.get(blk)
@@ -764,9 +760,9 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str):
         if flat:
             const.add(eta)
         if off is None and held < len(blocks):
-            off = w, next(r for r, (_, blk) in enumerate(eta.data) if made[blk][1] is not mw)
+            off = word(label), next(r for r, (_, blk) in enumerate(eta.data) if made[blk][1] is not mw)
         if first is None and eta in member and (not flat or held != sol.ell):
-            first = w, flat, held
+            first = word(label), flat, held
     single = Check("single-column", PASS, scope)
     coverage = Check("preimage-coverage", PASS, scope)
     if first is not None and not first[1]:
@@ -786,8 +782,9 @@ def _check_blocks_enumerated(sol: EmbeddingSolution):
     m = sol.mprime
     schutz = sol.problem.base.schutz.map
     member = sol.ideal.member
-    cases = [(v, schutz[sol.rho_map[v]], m.words[v]) for v in m.elements]
-    off, const, single, coverage = _check_blocks(sol, cases, member, f"{len(member)} elements of J'")
+    cases = [(v, schutz[sol.rho_map[v]], i) for i, v in enumerate(m.elements)]
+    off, const, single, coverage = _check_blocks(sol, cases, member, f"{len(member)} elements of J'",
+                                                 m.word)
     projection = Check("block-projection", PASS if off is None else FAIL,
                        f"{len(cases)} elements x {sol.p} blocks" if off is None
                        else f"eta({off[0]}) block row {off[1]} does not lie over M_w")
@@ -812,7 +809,7 @@ def _check_blocks_sampled(sol: EmbeddingSolution, seed: int):
     cases = [(sol.eta(w), base.schutz.map[bm.elements[reduce(lambda i, t: bm.right[i][t], w, one)]], w)
              for w in words]
     _, const, single, coverage = _check_blocks(sol, cases, {eta for eta, _, _ in cases},
-                                               f"{len(cases)} words")
+                                               f"{len(cases)} words", lambda w: w)
     rough = next((w for eta, _, w in cases if eta not in const), None)
     identification = Check("ideal-identification", PASS if rough is None else FAIL,
                            f"sampled {len(cases)} words; enumeration capped" if rough is None
@@ -842,7 +839,7 @@ def _check_rho(sol: EmbeddingSolution) -> Check:
     for x, row in enumerate(m.right):
         for a, j in enumerate(row):
             if at[j] != bm.right[at[x]][a]:
-                w = m.words[m.elements[x]]
+                w = m.word(x)
                 return Check("rho-on-generators", FAIL,
                              f"rho(eta({w}) * tilde_x[{a}]) is not rho(eta({w})) * g{a}")
     return Check("rho-on-generators", PASS, f"{len(at) * len(sol.raw)} edges of M'")

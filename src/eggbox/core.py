@@ -2,7 +2,8 @@
 
 A :class:`FiniteMonoid` is a fully enumerated monoid: a tuple of elements
 with the identity first, a product function, a distinguished generator list,
-and for every element a witness word over the generators.  A
+and for every element a witness word over the generators, stored as Froidure
+and Pin's pointers to its prefix and suffix.  A
 :class:`FiniteGroup` is a finite monoid whose elements are all units: it
 is passed wherever a monoid is expected and adds its Cayley table, which
 every group computation reads instead of multiplying elements.
@@ -11,8 +12,9 @@ Monoids come from Froidure and Pin's walk, :func:`generate_monoid`: it
 keeps both Cayley graphs, x -> x·a and x -> a·x, and multiplies only the
 right edges that shorter words do not give.  Other generated sets
 (subgroups, normal closures, idempotent spans) come from the
-breadth-first walk :func:`closure`, and :func:`along_words` extends a
-value along witness words.
+breadth-first walk :func:`closure`, which keeps a parent pointer per
+element, and :func:`along_words` extends a value along witness words,
+one step per element from its prefix.
 
 Both monoid builders validate what they return, exactly and at every
 size.  A product rule certified associative (see :mod:`eggbox.elements`)
@@ -51,11 +53,15 @@ class FiniteMonoid:
 
     ``right[i][t]`` is the index of x·a for the i-th element x and the t-th
     generator a: the right Cayley graph; ``left[i][t]``, that of a·x, is
-    the left one.  :func:`generate_monoid` hands in both graphs and the
-    index of its enumeration, with the product associative on M; a monoid
-    built without them multiplies the right graph out here and Green's
-    classification (:func:`~eggbox.green.green_structure`) multiplies the
-    left one out into ``left``.
+    the left one.  Witness words are Froidure and Pin's pointers, int lists
+    by element index with None at the identity: the i-th element is x′·a
+    for x′ = ``prefix[i]`` and a the ``last[i]``-th generator, and b·s for
+    b the ``first[i]``-th generator and s = ``suffix[i]``; :meth:`word`
+    spells a word out.  :func:`generate_monoid` hands in both graphs, the
+    quadruples (prefix, last, first, suffix) as ``origin`` and its index,
+    with the product associative on M; a monoid built without the graphs
+    multiplies the right one out here and Green's classification
+    (:func:`~eggbox.green.green_structure`) the left one into ``left``.
     """
 
     __slots__ = (
@@ -65,21 +71,24 @@ class FiniteMonoid:
         "identity",
         "generators",
         "index",
-        "words",
+        "prefix",
+        "last",
+        "first",
+        "suffix",
         "right",
         "left",
         "_green",
         "_ideal",
     )
 
-    def __init__(self, name, elements, mul, identity, generators, words, right=None, left=None, index=None):
+    def __init__(self, name, elements, mul, identity, generators, origin, right=None, left=None, index=None):
         self.name = name
         self.elements = tuple(elements)
         self.mul = mul
         self.identity = identity
         self.generators = tuple(generators)
         self.index = index = index or {x: i for i, x in enumerate(self.elements)}
-        self.words = words
+        self.prefix, self.last, self.first, self.suffix = map(list, zip(*origin))
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
         self.right = right
@@ -97,19 +106,23 @@ class FiniteMonoid:
         return x in self.index
 
     def times(self, i: int, j: int) -> int:
-        """Index of x·y for the i-th element x and the j-th y, by associativity
-        y's witness word walked from x along ``right``: |w_y| lookups."""
-        right = self.right
-        for t in self.words[self.elements[j]]:
-            i = right[i][t]
+        """Index of x·y for the i-th element x and the j-th y: x·y = (x·b)·s
+        for y = b·s by associativity, walked along ``right`` until the suffix
+        s, one letter shorter each step, is the identity: |w_y| lookups."""
+        right, first, suffix = self.right, self.first, self.suffix
+        while j:
+            i = right[i][first[j]]
+            j = suffix[j]
         return i
 
-    def eval_word(self, word) -> Element:
-        """Fold a tuple of generator indices into an element."""
-        acc = self.identity
-        for gi in word:
-            acc = self.mul(acc, self.generators[gi])
-        return acc
+    def word(self, i: int) -> tuple:
+        """The witness word of the i-th element, as a tuple of generator
+        indices, read back along ``prefix``."""
+        letters = []
+        while i:
+            letters.append(self.last[i])
+            i = self.prefix[i]
+        return tuple(reversed(letters))
 
 
 def _check_identity(mul, identity, elements):
@@ -160,20 +173,20 @@ def _check_light(mul, elements, index, right):
 def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
     """Breadth-first closure of ``start`` under x -> step(x, g), g in ``gens``.
 
-    Returns ``(levels, words)``.  ``levels[0]`` holds the distinct start
+    Returns ``(levels, parent)``.  ``levels[0]`` holds the distinct start
     elements and ``levels[k]`` those first reached in k steps, each level
     sorted by ``key`` (the canonical key of an :class:`Element`; callers
     that walk element indices pass ``None`` to sort them by value), so the
-    levels do not depend on the order of ``gens``.  ``words[x]`` is the
-    tuple of generator indices along which x was first reached, () for a
-    start element; it doubles as the membership test.  Raises
+    levels do not depend on the order of ``gens``.  ``parent[y]`` is
+    (x, gi) for y first reached as step(x, gens[gi]), None for a start
+    element; it doubles as the membership test.  Raises
     :class:`CapExceeded` once a level takes the count past ``cap``.
     """
-    words = {}
+    parent = {}
     level = []
     for x in start:
-        if x not in words:
-            words[x] = ()
+        if x not in parent:
+            parent[x] = None
             level.append(x)
     gens = list(gens)
     count = 0
@@ -186,30 +199,26 @@ def closure(start, gens, step, cap: int = DEFAULT_CAP, key=attrgetter("key")):
         levels.append(level)
         fresh = []
         for x in level:
-            wx = words[x]
             for gi, g in enumerate(gens):
                 y = step(x, g)
-                if y not in words:
-                    words[y] = wx + (gi,)
+                if y not in parent:
+                    parent[y] = (x, gi)
                     fresh.append(y)
         level = fresh
-    return levels, words
+    return levels, parent
 
 
 def along_words(m: FiniteMonoid, start, step) -> list:
     """The value f(x) of every element x, by element index, with f(1) =
-    ``start`` and f(x′·a) = step(f(x′), t) for x′·a x's witness word and a
-    the t-th generator.
+    ``start`` and f(x′·a) = step(f(x′), t) for x′ = ``m.prefix`` of x and a
+    the t-th generator, its ``m.last``.
 
     One step per element: breadth-first order puts the prefix x′ of each
     witness word before x.
     """
-    at_word = {}
     values = []
-    for i, x in enumerate(m.elements):
-        word = m.words[x]
-        at_word[word] = i
-        values.append(step(values[at_word[word[:-1]]], word[-1]) if word else start)
+    for p, t in zip(m.prefix, m.last):
+        values.append(start if p is None else step(values[p], t))
     return values
 
 
@@ -265,7 +274,7 @@ def generate_monoid(
     # word is (gi,) for its first gi
     _check_identity(product_rule, identity, [identity] + seeds)
 
-    elements, index, words, right, left = [], {}, {}, [], []
+    elements, index, right, left = [], {}, [], []
     origin = []  # (p, b, f, s) for x = p·b = f·s, with first letter f and suffix s
     fresh, pending = {identity: None}, []  # the next level, each found as (p, b, s)
     start = end = 0  # the level walked is elements[start:end]
@@ -275,7 +284,6 @@ def generate_monoid(
             raise CapExceeded(cap, count)
         for y in sorted(fresh, key=attrgetter("key")):
             p, b, s = fresh[y] or (None, None, None)
-            words[y] = () if p is None else words[elements[p]] + (b,)
             origin.append((p, b, origin[p][2] if p else b, s))
             index[y] = len(elements)
             elements.append(y)
@@ -311,7 +319,7 @@ def generate_monoid(
         carrier = getattr(product_rule, "carrier", None)
         if carrier is not None and all(x in index for x in carrier):
             product_rule.associative = True
-    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, words, right, left, index)
+    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, origin, right, left, index)
 
 
 def omega_power(m: FiniteMonoid, x: Element) -> Element:

@@ -46,15 +46,15 @@ from .report import Check, ConstructionReport
 
 
 class GreenStructure:
-    """Eggbox data of a monoid: the four partitions, and in ``j_sinks`` the
+    """Eggbox data of a monoid: the four partitions; for R, L and H each
+    element's class number, by element index; and in ``j_sinks`` the
     J-classes that no Cayley-graph edge leaves, i.e. those closed under the
     generators on both sides."""
 
-    __slots__ = ("monoid", "r_classes", "l_classes", "j_classes", "h_classes", "r_class_of",
+    __slots__ = ("r_classes", "l_classes", "j_classes", "h_classes", "r_class_of",
                  "l_class_of", "h_class_of", "j_sinks")
 
-    def __init__(self, monoid, r, l, j, h, j_sinks):
-        self.monoid = monoid
+    def __init__(self, r, l, j, h, j_sinks):
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
         self.j_classes = j
@@ -63,14 +63,15 @@ class GreenStructure:
 
 
 def _group_classes(elements, values):
-    """Group elements by their values, listed in element order; classes
-    ordered by first member, members kept in element order."""
-    class_of, classes, seen = {}, [], {}
+    """Group elements by their values, listed in element order: the classes,
+    by first member and members in element order, and each element's class."""
+    class_of, classes, seen = [], [], {}
     for x, v in zip(elements, values):
-        ci = class_of[x] = seen.setdefault(v, len(classes))
+        ci = seen.setdefault(v, len(classes))
         if ci == len(classes):
             classes.append([])
         classes[ci].append(x)
+        class_of.append(ci)
     return tuple(map(tuple, classes)), class_of
 
 
@@ -155,18 +156,18 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
 
     r = _group_classes(els, r_comp)
     l = _group_classes(els, l_comp)
-    j = _group_classes(els, j_comp)[0]
+    j, j_of = _group_classes(els, j_comp)
     h = _group_classes(els, zip(r_comp, l_comp))
 
     # a J-class is a sink when no edge of either graph leaves it
     exits = set()
     for graph in (right, left):
-        for ji, succ in zip(j_comp, graph):
+        for ji, succ in zip(j_of, graph):
             for w in succ:
-                if j_comp[w] != ji:
+                if j_of[w] != ji:
                     exits.add(ji)
-    j_sinks = tuple(ci for ci, cls in enumerate(j) if j_comp[idx[cls[0]]] not in exits)
-    gs = GreenStructure(m, r, l, j, h, j_sinks)
+    j_sinks = tuple(ci for ci in range(len(j)) if ci not in exits)
+    gs = GreenStructure(r, l, j, h, j_sinks)
     m._green = gs
     return gs
 
@@ -200,7 +201,7 @@ def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[SubSemigroup] 
     if times(ei, ei) != ei:
         raise NotIdempotent(f"{e!r} is not idempotent")
     gs = green_structure(m)
-    units = gs.h_classes[gs.h_class_of[e]]
+    units = gs.h_classes[gs.h_class_of[ei]]
     for u in units:
         if times(ei, idx[u]) != idx[u] or times(idx[u], ei) != idx[u]:
             raise InternalInconsistency(f"{u!r} in the H-class of e is not fixed by e")
@@ -276,7 +277,7 @@ def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCo
     a_of = {}
     b_of = {}
     for x in ideal.elements:
-        r, l = gs.r_class_of[x], gs.l_class_of[x]
+        r, l = gs.r_class_of[idx[x]], gs.l_class_of[idx[x]]
         if r not in a_of:
             a_of[r] = idx[omega_power(m, els[times(idx[x], ei)])]
         if l not in b_of:
@@ -460,10 +461,11 @@ def check_min_ideal_image(phi: MonoidHom) -> ConstructionReport:
         report.add(Check("ideal-image", "fail", f"extra={extra[:3]!r} missing={missing[:3]!r}"))
 
     gs, gt = green_structure(phi.source), green_structure(phi.target)
-    h_ids = dict.fromkeys(gs.h_class_of[x] for x in ideal_s.elements)
+    at_s, at_t = phi.source.index, phi.target.index
+    h_ids = dict.fromkeys(gs.h_class_of[at_s[x]] for x in ideal_s.elements)
     for hi in h_ids:
         h = gs.h_classes[hi]
-        if {phi(x) for x in h} != set(gt.h_classes[gt.h_class_of[phi(h[0])]]):
+        if {phi(x) for x in h} != set(gt.h_classes[gt.h_class_of[at_t[phi(h[0])]]]):
             bad = omega_power(phi.source, h[0])
             report.add(Check("subgroup-image", "fail", f"at idempotent {bad!r}"))
             break

@@ -202,8 +202,8 @@ def is_faithful_on_min_ideal(m: FiniteMonoid) -> bool:
     """
     ideal = minimal_ideal(m)
     gs = green_structure(m)
-    r0 = gs.r_class_of[ideal.elements[0]]
-    reps = {gs.h_class_of[x]: m.index[x] for x in ideal.elements if gs.r_class_of[x] == r0}
+    at = [m.index[x] for x in ideal.elements]
+    reps = {gs.h_class_of[i]: i for i in at if gs.r_class_of[i] == gs.r_class_of[at[0]]}
     right = m.right
     rows = along_words(m, tuple(reps.values()), lambda row, t: tuple([right[i][t] for i in row]))
     return len(set(rows)) == len(rows)

@@ -88,6 +88,15 @@ def test_cover_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_memory_exhaustion_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_idempotent_cover", exhausted)
+    code, out, err = run(capsys, "cover", "C2", "3")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--cap", "0"),
     ("embed", "E1", "--defs", str(DEFS_DIR / "unit-zero.defs"), "--cap", "-3"),

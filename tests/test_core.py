@@ -1,9 +1,16 @@
 import random
+from functools import reduce
 
 import pytest
 
-from eggbox.acceptance import COVER_GROUPS, PSI_GROUPS, PSI_POINTS
-from eggbox.constructions import build_idempotent_cover, cover_modulus_bound
+from eggbox.acceptance import COVER_GROUPS, PSI_GROUPS, PSI_POINTS, example_problems
+from eggbox.constructions import (
+    EmbeddingProblem,
+    build_idempotent_cover,
+    cover_modulus_bound,
+    prepare_base,
+    solve_embedding,
+)
 from eggbox.core import (
     FiniteGroup,
     FiniteMonoid,
@@ -53,8 +60,8 @@ def test_generate_full_transformation_monoid_sizes():
 
 def test_generate_monoid_words_reproduce_elements():
     m = full_transformation_monoid(3)
-    for x in m.elements:
-        assert m.eval_word(m.words[x]) == x
+    for i, x in enumerate(m.elements):
+        assert reduce(m.mul, (m.generators[t] for t in m.word(i)), m.identity) == x
 
 
 def test_generate_monoid_cap():
@@ -135,13 +142,13 @@ def test_product_rules_inherit_the_certificate_of_their_parts():
 def test_closure_levels_do_not_depend_on_generator_order():
     g = symmetric(3)
     gens = list(g.elements[1:])
-    levels, words = closure([g.identity], gens, g.mul)
+    levels, parent = closure([g.identity], gens, g.mul)
     again, _ = closure([g.identity], gens[::-1], g.mul)
     assert levels == again
     assert [len(level) for level in levels] == [1, 5]
     for level in levels:
         assert level == sorted(level)
-    for x, word in words.items():
+    for x, word in parent_words(parent).items():
         acc = g.identity
         for gi in word:
             acc = g.mul(acc, gens[gi])
@@ -150,15 +157,25 @@ def test_closure_levels_do_not_depend_on_generator_order():
         closure([g.identity], gens, g.mul, cap=5)
 
 
+def parent_words(parent):
+    """The word of every element of a closure, rebuilt along its parent
+    pointers; a parent is found before its children."""
+    words = {}
+    for y, up in parent.items():
+        words[y] = () if up is None else words[up[0]] + (up[1],)
+    return words
+
+
 def plain_walk(m):
     """Oracle: M's element keys, witness words and both Cayley graphs from
     the plain breadth-first walk, with every edge multiplied out."""
-    levels, words = closure([m.identity], m.generators, m.mul)
+    levels, parent = closure([m.identity], m.generators, m.mul)
     elements = [x for level in levels for x in level]
     at = {x: i for i, x in enumerate(elements)}
     right = [[at[m.mul(x, a)] for a in m.generators] for x in elements]
     left = [[at[m.mul(a, x)] for a in m.generators] for x in elements]
-    return [x.key for x in elements], words, right, left
+    words = parent_words(parent)
+    return [x.key for x in elements], [words[x] for x in elements], right, left
 
 
 def table_monoid(m, extra=0):
@@ -196,9 +213,17 @@ def test_enumeration_matches_the_plain_walk():
         monoids += [constant_wreath(builtin_group(name), b).monoid for b in PSI_POINTS]
     assert len(monoids) == 2 + 5 + 1 + 18
     assert sum(map(len, monoids)) == 256 + 27 + 511 + 3197 + 1336
-    monoids += random_transformation_monoids(200, seed=14)
+    # block extensions M': E1-E3's and the one over the C2 n = 3 cover base
+    problems = example_problems()
+    c2, c4 = builtin_group("C2"), builtin_group("C4")
+    problems["C2-3"] = EmbeddingProblem(MonoidHom.from_generator_images(c4, c2, [c2.generators[0]]),
+                                        prepare_base(build_idempotent_cover(c2, 3).monoid))
+    extensions = [solve_embedding(problems[key], require_full=True).mprime for key in sorted(problems)]
+    assert [len(m) for m in extensions] == [4422, 21, 120, 12]
+    monoids += extensions + random_transformation_monoids(200, seed=14)
     for m in monoids:
-        assert ([x.key for x in m.elements], m.words, m.right, m.left) == plain_walk(m)
+        words = [m.word(i) for i in range(len(m))]
+        assert ([x.key for x in m.elements], words, m.right, m.left) == plain_walk(m)
 
 
 def test_a_wrong_deduced_edge_is_rejected():
@@ -276,7 +301,8 @@ def test_hom_from_generator_images_takes_one_product_per_element_and_edge():
         count[0] += 1
         return m.mul(p, q)
 
-    target = FiniteMonoid("T4", m.elements, counting, m.identity, m.generators, m.words, m.right)
+    target = FiniteMonoid("T4", m.elements, counting, m.identity, m.generators,
+                          zip(m.prefix, m.last, m.first, m.suffix), m.right)
     assert MonoidHom.from_generator_images(m, target, m.generators).is_surjective()
     # one product per element past the identity extends the images along
     # the witness words, one per right Cayley edge validates the map; a

@@ -180,7 +180,7 @@ def test_cover_products_share_one_row_per_column_and_entry(name, n):
     h = builtin_group(name)
     m = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid
     # the rule's products share one row per (column, entry), all n·|H| used
-    rows = [r for x in m.elements if len(m.words[x]) >= 2 for r in x.data]
+    rows = [r for i, x in enumerate(m.elements) if len(m.word(i)) >= 2 for r in x.data]
     assert len({id(r) for r in rows}) == len(set(rows)) == n * len(h.elements)
     # a second cover built while the first is alive is made of its objects
     again = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid

@@ -100,7 +100,8 @@ def test_left_graph_read_off_the_closure_matches_products():
         assert m.left == multiplied_left_graph(m)
     # a monoid handed no edges multiplies both graphs out, the left one
     # when it is classified
-    bare = FiniteMonoid("T4-bare", t4.elements, t4.mul, t4.identity, t4.generators, t4.words)
+    bare = FiniteMonoid("T4-bare", t4.elements, t4.mul, t4.identity, t4.generators,
+                        zip(t4.prefix, t4.last, t4.first, t4.suffix))
     assert bare.left is None
     green_structure(bare)
     assert bare.left == multiplied_left_graph(t4)
@@ -142,7 +143,8 @@ def test_minimal_ideal_needs_exactly_one_closed_class():
     # with no generators the Cayley graphs have no edges, so every
     # J-class looks closed and no minimal ideal can be told apart
     m = t3()
-    bare = FiniteMonoid("T3-bare", m.elements, m.mul, m.identity, (), m.words)
+    bare = FiniteMonoid("T3-bare", m.elements, m.mul, m.identity, (),
+                        zip(m.prefix, m.last, m.first, m.suffix))
     with pytest.raises(InternalInconsistency):
         minimal_ideal(bare)
 
@@ -210,7 +212,8 @@ def monoid_with_one_bad_product(c, gen):
         return wrong if (p == u and q == gen) else c.mul(p, q)
 
     m = c.monoid
-    return FiniteMonoid("bad", m.elements, mul, m.identity, m.generators, m.words)
+    return FiniteMonoid("bad", m.elements, mul, m.identity, m.generators,
+                        zip(m.prefix, m.last, m.first, m.suffix))
 
 
 def test_rees_law_agrees_with_the_all_pairs_oracle():
@@ -249,7 +252,8 @@ def test_rees_coordinates_products_are_linear_in_the_ideal():
         return c.mul(p, q)
 
     m = c.monoid
-    m = FiniteMonoid("C3-cover", m.elements, counting, m.identity, m.generators, m.words)
+    m = FiniteMonoid("C3-cover", m.elements, counting, m.identity, m.generators,
+                     zip(m.prefix, m.last, m.first, m.suffix))
     ideal = minimal_ideal(m)
     assert len(ideal) == 108
     count[0] = 0
@@ -342,9 +346,10 @@ def test_subgroup_image_fails_on_an_h_class_sent_off_its_image():
     m = build_idempotent_cover(builtin_group("C2"), 3).monoid
     ideal = minimal_ideal(m)
     gs = green_structure(m)
-    first = gs.h_classes[gs.h_class_of[ideal.elements[0]]]
+    h_of = {v: gs.h_class_of[m.index[v]] for v in ideal.elements}
+    first = gs.h_classes[h_of[ideal.elements[0]]]
     x = first[1]
-    y = next(v for v in ideal.elements if gs.h_class_of[v] != gs.h_class_of[x])
+    y = next(v for v in ideal.elements if h_of[v] != h_of[x])
     swap = {x: y, y: x}
     phi = MonoidHom(m, m, {v: swap.get(v, v) for v in m.elements}, check=False)
     names = {ch.name: ch for ch in check_min_ideal_image(phi).checks}

@@ -83,7 +83,8 @@ def counted(m):
         count[0] += 1
         return m.mul(p, q)
 
-    return FiniteMonoid(m.name, m.elements, mul, m.identity, m.generators, m.words, m.right), count
+    return FiniteMonoid(m.name, m.elements, mul, m.identity, m.generators,
+                        zip(m.prefix, m.last, m.first, m.suffix), m.right), count
 
 
 def schutz_is_injective(m):
@@ -213,7 +214,7 @@ def test_rlm_rejects_a_bad_product_inside_an_l_class():
     gs = green_structure(m)
 
     def ends(v):
-        members = gs.l_classes[gs.l_class_of[v]]
+        members = gs.l_classes[gs.l_class_of[m.index[v]]]
         return members[0], members[-1]
 
     u = next(v for v in c.ideal.elements if rc.coord[v][2] == rc.n_b - 1 and v not in ends(v))
@@ -223,7 +224,8 @@ def test_rlm_rejects_a_bad_product_inside_an_l_class():
     def mul(p, q):
         return wrong if (p == u and q == c.x) else m.mul(p, q)
 
-    bad = FiniteMonoid("bad", m.elements, mul, m.identity, m.generators, m.words)
+    bad = FiniteMonoid("bad", m.elements, mul, m.identity, m.generators,
+                       zip(m.prefix, m.last, m.first, m.suffix))
     assert green_structure(bad).h_classes == gs.h_classes
     with pytest.raises(InternalInconsistency, match="not multiplicative"):
         rlm(bad)
