@@ -5,10 +5,6 @@ Criteria 1-9 run once through the shared acceptance driver; criterion 10
 interpreters with different hash seeds and compares the trailers.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from eggbox import acceptance
@@ -107,19 +103,13 @@ def test_criterion_09_random_monoid_oracles(outcome):
     check(outcome, "criterion-9")
 
 
-def selftest_run(hashseed):
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    proc = subprocess.run(
-        [sys.executable, "-m", "eggbox", "selftest"],
-        capture_output=True, text=True, env=env, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    out = proc.stdout
-    assert "---" in out
-    return out[out.index("\n---\n"):]
+def trailer(stdout):
+    assert "\n---\n" in stdout
+    return stdout[stdout.index("\n---\n"):]
 
 
-def test_criterion_10_selftest_determinism():
-    first = selftest_run("0")
-    second = selftest_run("31337")
+def test_criterion_10_selftest_determinism(selftest_stdout):
+    first = trailer(selftest_stdout("0"))
+    second = trailer(selftest_stdout("31337"))
     assert first == second
     assert "result=pass" in first
