@@ -24,17 +24,19 @@ defs = load_definitions("definitions/doubled-swap.defs")
 decl = defs.problems["E2"]
 prob = EmbeddingProblem(decl["alpha"], prepare_base(decl["base"]))
 sol = solve_embedding(prob)
-print(sol.summary())
+report = verify_embedding(sol)
+# nu, ell, m and r are the verifier's own values, derived from the problem
+# and the block generators
+print(", ".join(f"{key}={value}" for key, value in report.params))
 
 print("\ntheta maps the subgroup at e' onto C4:")
 hit = sorted(set(sol.theta_map.values()), key=str)
-print(f"  {len(sol.group_elements)} block matrices  ->  {hit}")
+print(f"  {len(sol.group.elements)} block matrices  ->  {hit}")
 
 print("\nrho sends the lifted generators back onto the base:")
 for i, t in enumerate(sol.raw):
     print(f"  rho(x~{i + 1}) = {sol.rho_map[t]}")
 
-report = verify_embedding(sol)
 print(f"\nverification: {report.counts()[0]} checks pass")
 
 # corrupt one block entry and watch the checks fail

@@ -113,9 +113,7 @@ def cmd_embed(args) -> int:
         alpha = defs.homs[args.names[1]]
     prob = EmbeddingProblem(alpha, prepare_base(base))
     sol = solve_embedding(prob, p_override=args.prime, cap=args.cap)
-    sys.stdout.write(sol.summary() + "\n")
-    report = verify_embedding(sol, seed=args.seed)
-    return _emit(report)
+    return _emit(verify_embedding(sol, seed=args.seed))
 
 
 def cmd_srank(args) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import product as iter_product
+from itertools import accumulate, count, product as iter_product, repeat
 from typing import Optional
 
 from .core import (
@@ -97,13 +97,6 @@ def _power(x: Element, k: int, mul, ident: Element) -> Element:
         sq = mul(sq, sq)
         k >>= 1
     return acc
-
-
-def _next_prime(start: int) -> int:
-    q = max(start, 2)
-    while not _is_prime(q):
-        q += 1
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +472,11 @@ class EmbeddingProblem:
 
     The codomain is identified with the base's maximal subgroup K by a
     searched isomorphism; ``alpha_hat`` is alpha composed with it, so all
-    later arithmetic happens in the base's own copy of K.
+    later arithmetic happens in the base's own copy of K.  ``inner_mul``
+    multiplies b×b row-monomial blocks over H, for every solve and check.
     """
 
-    __slots__ = ("alpha", "base", "h", "iso", "alpha_hat")
+    __slots__ = ("alpha", "base", "h", "iso", "alpha_hat", "inner_mul")
 
     def __init__(self, alpha: MonoidHom, base: PreparedBase):
         if not isinstance(alpha.source, FiniteGroup) or not isinstance(alpha.target, FiniteGroup):
@@ -501,6 +495,7 @@ class EmbeddingProblem:
                 f"(order {len(base.group.elements)})")
         self.iso = iso
         self.alpha_hat = alpha.then(iso)
+        self.inner_mul = make_rowmono_mul(self.h.mul)
 
     def __repr__(self):
         return (f"EmbeddingProblem({self.h.name} ->> {self.base.group.name} "
@@ -512,17 +507,45 @@ def _alphabar(ahat: MonoidHom, mat: Element) -> Element:
     return row_monomial((c, ahat.map[v]) for c, v in mat.data)
 
 
-def _kernel_diagonals(prob: EmbeddingProblem):
-    """ker alpha_hat in H's element order, and the diagonal b×b matrices
-    over it in lexicographic order."""
-    k_ident = prob.base.group.identity
-    n_elements = tuple(x for x in prob.h.elements if prob.alpha_hat.map[x] == k_ident)
-    nbt = tuple(row_monomial(enumerate(t)) for t in iter_product(n_elements, repeat=prob.base.b))
-    return n_elements, nbt
+def _kernel(prob: EmbeddingProblem) -> tuple:
+    """ker alpha_hat in H's element order."""
+    ker = prob.alpha_hat.kernel()
+    return tuple(x for x in prob.h.elements if x in ker)
+
+
+def _kernel_diagonals(prob: EmbeddingProblem) -> tuple:
+    """The diagonal b×b matrices over ker alpha_hat, in lexicographic order."""
+    return tuple(row_monomial(enumerate(t)) for t in iter_product(_kernel(prob), repeat=prob.base.b))
+
+
+def _lift_exponent(prob: EmbeddingProblem, blk: Element) -> int:
+    """m: the least k >= 1 with blk^k idempotent, for a b×b block over H."""
+    guard = len(prob.h.elements) ** prob.base.b * prob.base.b + 2
+    return _least_idempotent_power(blk, prob.inner_mul, guard)[0]
+
+
+def _block_identity(prob: EmbeddingProblem, p: int) -> Element:
+    inner = identity_row_monomial(prob.base.b, prob.h.identity)
+    return row_monomial((i, inner) for i in range(p))
+
+
+def _kernel_sweep(prob: EmbeddingProblem, raw, e_prime: Element, m: int, p: int, block_mul):
+    """(r, sweep): r = m^-1 mod p and e'·c^j·e' for j < p, the sweep of the
+    cycler c = x~_1^(m·r) through the subgroup at e'; (None, None) when m
+    has no inverse mod p."""
+    try:
+        r = pow(m, -1, p)
+    except ValueError:
+        return None, None
+    ident = _block_identity(prob, p)
+    cycler = _power(raw[0], m * r, block_mul, ident)
+    powers = accumulate(repeat(cycler, p - 1), block_mul, initial=ident)
+    return r, [block_mul(block_mul(e_prime, c), e_prime) for c in powers]
 
 
 class EmbeddingSolution:
-    """Solved extension data as built; :func:`verify_embedding` checks it.
+    """Solved extension data as built; :func:`verify_embedding` checks it
+    and derives the parameters nu, ell, m and r itself.
 
     ``raw`` holds the block generators; ``mprime`` is their closure in
     full mode and None when the cap was hit (``capnote`` says so).
@@ -534,10 +557,8 @@ class EmbeddingSolution:
     an element's first block in every mode.
     """
 
-    __slots__ = ("problem", "p", "nu", "ell", "m", "r", "n_elements", "nbt",
-                 "sigma", "raw", "mprime", "ideal", "rho_map",
-                 "e_prime", "cycler", "group", "group_elements", "theta_map",
-                 "mode", "capnote", "block_mul", "schutz_inverse")
+    __slots__ = ("problem", "p", "raw", "mprime", "ideal", "rho_map", "e_prime", "group",
+                 "group_elements", "theta_map", "mode", "capnote", "block_mul", "schutz_inverse")
 
     def __init__(self, **kw):
         for slot in self.__slots__:
@@ -545,13 +566,7 @@ class EmbeddingSolution:
 
     def __repr__(self):
         size = len(self.mprime.elements) if self.mprime is not None else self.capnote
-        return (f"EmbeddingSolution(p={self.p}, nu={self.nu}, ell={self.ell}, "
-                f"m={self.m}, |M'|={size})")
-
-    def summary(self) -> str:
-        size = str(len(self.mprime.elements)) if self.mprime is not None else self.capnote
-        return (f"p={self.p} nu={self.nu} ell={self.ell} m={self.m} r={self.r} "
-                f"mode={self.mode} size={size}")
+        return f"EmbeddingSolution(p={self.p}, {self.mode}, |M'|={size})"
 
     def rho_of(self, v: Element) -> Optional[Element]:
         """Base element under the first block, if its projection is one."""
@@ -559,11 +574,7 @@ class EmbeddingSolution:
 
     def eta(self, word) -> Element:
         """Product of the block generators along a base word."""
-        return reduce(self.block_mul, (self.raw[gi] for gi in word), self._block_identity())
-
-    def _block_identity(self) -> Element:
-        inner = identity_row_monomial(self.problem.base.b, self.problem.h.identity)
-        return row_monomial((i, inner) for i in range(self.p))
+        return reduce(self.block_mul, (self.raw[gi] for gi in word), _block_identity(self.problem, self.p))
 
 
 def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
@@ -577,35 +588,22 @@ def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
     other generator is the single-column matrix whose first ell blocks are
     scaled by the kernel diagonals in lexicographic order.
     """
-    base = prob.base
-    h = prob.h
-    ahat = prob.alpha_hat
-    n_elements, nbt = _kernel_diagonals(prob)
-    sigma = canonical_section(ahat)
-    inner_mul = make_rowmono_mul(h.mul)
-    b = base.b
-    lifts = tuple(
-        row_monomial((c, sigma[v]) for c, v in mat.data) for mat in base.matrices
-    )
-    guard = len(h.elements) ** b * b + 2
-    m_power, _ = _least_idempotent_power(lifts[0], inner_mul, guard)
-    nu = len(n_elements)
-    ell = nu ** b
-    bound = max(m_power, ell)
-    if p_override is not None:
-        if not _is_prime(p_override) or p_override <= bound:
-            raise PrimeBoundViolated(
-                f"override {p_override} is not a prime above max(m, ell) = {bound}")
-        p = p_override
+    sigma = canonical_section(prob.alpha_hat)
+    lifts = [row_monomial((c, sigma[v]) for c, v in mat.data) for mat in prob.base.matrices]
+    m_power = _lift_exponent(prob, lifts[0])
+    nbt = _kernel_diagonals(prob)
+    bound = max(m_power, len(nbt))
+    if p_override is None:
+        p = next(q for q in count(bound + 1) if _is_prime(q))
     else:
-        p = _next_prime(bound + 1)
+        p = p_override
+    if not _is_prime(p) or p <= bound:
+        raise PrimeBoundViolated(f"override {p} is not a prime above max(m, ell) = {bound}")
 
     tilde = [row_monomial(((i + 1) % p, lifts[0]) for i in range(p))]
-    for gi in range(1, len(lifts)):
+    for lift in lifts[1:]:
         tilde.append(row_monomial(
-            (0, inner_mul(nbt[t], lifts[gi]) if t < ell else lifts[gi])
-            for t in range(p)
-        ))
+            (0, prob.inner_mul(nbt[t], lift) if t < len(nbt) else lift) for t in range(p)))
     return assemble_embedding(prob, p, tilde, cap=cap, require_full=require_full)
 
 
@@ -614,7 +612,8 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     """Close the given block generators and read off the extension data.
 
     Nothing is checked here that :func:`verify_embedding` checks, so any
-    generators, even corrupted ones, assemble and the report names what
+    generators, even corrupted ones or ones built for a modulus that is
+    not a prime above max(m, ell), assemble and the report names what
     fails.  In full mode rho is read off the base along witness words:
     rho(1) = 1 and rho(x·x~_a) = rho(x)·g_a along each word, |M'| lookups
     in the base's right Cayley graph and no product.  The closure cap
@@ -624,31 +623,14 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     """
     base = prob.base
     h = prob.h
-    ahat = prob.alpha_hat
     raw = tuple(tilde_x)
     if len(raw) != len(base.matrices):
         raise NotWellDefined(
             f"{len(raw)} block generators for {len(base.matrices)} base generators")
-    b = base.b
-    inner_mul = make_rowmono_mul(h.mul)
-    block_mul = make_rowmono_mul(inner_mul)
-    inner_ident = identity_row_monomial(b, h.identity)
-    block_ident = row_monomial((i, inner_ident) for i in range(p))
+    block_mul = make_rowmono_mul(prob.inner_mul)
+    block_ident = _block_identity(prob, p)
 
-    n_elements, nbt = _kernel_diagonals(prob)
-    nu = len(n_elements)
-    ell = nu ** b
-    sigma = canonical_section(ahat)
-
-    guard = len(h.elements) ** b * b + 2
-    m_power, _ = _least_idempotent_power(raw[0].data[0][1], inner_mul, guard)
-    try:
-        r = pow(m_power, -1, p)
-    except ValueError:
-        raise PrimeBoundViolated(f"m = {m_power} is not invertible modulo p = {p}")
-    cycler = _power(raw[0], m_power * r, block_mul, block_ident)
-
-    block_guard = p * guard
+    block_guard = p * (len(h.elements) ** base.b * base.b + 2)
     o1 = _least_idempotent_power(raw[0], block_mul, block_guard)[1]
     o2 = _least_idempotent_power(raw[1], block_mul, block_guard)[1]
     eta_w = reduce(block_mul, (raw[gi] for gi in base.word), block_ident)
@@ -681,11 +663,10 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
         rho_map = {v: bm.elements[i] for v, i in zip(mprime.elements, at)}
         group = maximal_subgroup(mprime, e_prime, ideal=ideal_p)
     else:
-        seeds = []
-        cj = block_ident
-        for _ in range(p):
-            seeds.append(block_mul(block_mul(e_prime, cj), e_prime))
-            cj = block_mul(cj, cycler)
+        m = _lift_exponent(prob, raw[0].data[0][1])
+        _, seeds = _kernel_sweep(prob, raw, e_prime, m, p, block_mul)
+        if seeds is None:
+            raise PrimeBoundViolated(f"m = {m} is not invertible modulo p = {p}")
         for kk in base.group.elements:
             acc = reduce(block_mul, (raw[gi] for gi in bm.word(bm.index[kk])), block_ident)
             seeds.append(block_mul(block_mul(e_prime, acc), e_prime))
@@ -694,11 +675,8 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     theta_map = {s: s.data[0][1].data[0][1] for s in group.elements}
 
     return EmbeddingSolution(
-        problem=prob, p=p, nu=nu, ell=ell, m=m_power, r=r,
-        n_elements=n_elements, nbt=nbt, sigma=sigma, raw=raw,
-        mprime=mprime, ideal=ideal_p, rho_map=rho_map,
-        e_prime=e_prime, cycler=cycler, group=group,
-        group_elements=group.elements, theta_map=theta_map,
+        problem=prob, p=p, raw=raw, mprime=mprime, ideal=ideal_p, rho_map=rho_map,
+        e_prime=e_prime, group=group, group_elements=group.elements, theta_map=theta_map,
         mode=mode, capnote=capnote, block_mul=block_mul, schutz_inverse=schutz_inverse,
     )
 
@@ -732,7 +710,7 @@ def _check_block_projection(sol: EmbeddingSolution) -> Check:
                  f"{len(sol.raw)} generators x {sol.p} blocks")
 
 
-def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str, word):
+def _check_blocks(sol: EmbeddingSolution, ell: int, cases, member, scope: str, word):
     """Single-column and preimage coverage over the cases (eta(w), M_w, label)
     that lie in ``member``, every case's blocks read once; ``word`` rebuilds
     w from its label, only for a case that a witness names.
@@ -761,7 +739,7 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str, word):
             const.add(eta)
         if off is None and held < len(blocks):
             off = word(label), next(r for r, (_, blk) in enumerate(eta.data) if made[blk][1] is not mw)
-        if first is None and eta in member and (not flat or held != sol.ell):
+        if first is None and eta in member and (not flat or held != ell):
             first = word(label), flat, held
     single = Check("single-column", PASS, scope)
     coverage = Check("preimage-coverage", PASS, scope)
@@ -769,11 +747,11 @@ def _check_blocks(sol: EmbeddingSolution, cases, member, scope: str, word):
         single = Check("single-column", FAIL, f"eta({first[0]}) has several columns")
     elif first is not None:
         coverage = Check("preimage-coverage", FAIL,
-                         f"eta(w) holds {first[2]} of the {sol.ell} preimages of M_w for w={first[0]}")
+                         f"eta(w) holds {first[2]} of the {ell} preimages of M_w for w={first[0]}")
     return off, const, single, coverage
 
 
-def _check_blocks_enumerated(sol: EmbeddingSolution):
+def _check_blocks_enumerated(sol: EmbeddingSolution, ell: int):
     """The block checks over all of M': each v is eta(w) for its witness
     word w, and M_w is the Schutzenberger matrix of rho(v).  Every block of
     every element must lie over M_rho(v), which is rho's defining claim;
@@ -783,7 +761,7 @@ def _check_blocks_enumerated(sol: EmbeddingSolution):
     schutz = sol.problem.base.schutz.map
     member = sol.ideal.member
     cases = [(v, schutz[sol.rho_map[v]], i) for i, v in enumerate(m.elements)]
-    off, const, single, coverage = _check_blocks(sol, cases, member, f"{len(member)} elements of J'",
+    off, const, single, coverage = _check_blocks(sol, ell, cases, member, f"{len(member)} elements of J'",
                                                  m.word)
     projection = Check("block-projection", PASS if off is None else FAIL,
                        f"{len(cases)} elements x {sol.p} blocks" if off is None
@@ -795,7 +773,7 @@ def _check_blocks_enumerated(sol: EmbeddingSolution):
     return projection, single, coverage, identification
 
 
-def _check_blocks_sampled(sol: EmbeddingSolution, seed: int):
+def _check_blocks_sampled(sol: EmbeddingSolution, ell: int, seed: int):
     """The block checks on a capped closure, which enumerates nothing:
     ``WORD_SAMPLE`` full-support words w, all in J', are sampled (``seed``
     seeds them) and eta(w) multiplied out, with M_w read by walking the
@@ -808,8 +786,8 @@ def _check_blocks_sampled(sol: EmbeddingSolution, seed: int):
     one = bm.index[bm.identity]
     cases = [(sol.eta(w), base.schutz.map[bm.elements[reduce(lambda i, t: bm.right[i][t], w, one)]], w)
              for w in words]
-    _, const, single, coverage = _check_blocks(sol, cases, {eta for eta, _, _ in cases},
-                                               f"{len(cases)} words", lambda w: w)
+    _, const, single, coverage = _check_blocks(sol, ell, cases, {eta for eta, _, _ in cases},
+                                               f"sampled {len(cases)} words", lambda w: w)
     rough = next((w for eta, _, w in cases if eta not in const), None)
     identification = Check("ideal-identification", PASS if rough is None else FAIL,
                            f"sampled {len(cases)} words; enumeration capped" if rough is None
@@ -866,37 +844,84 @@ def _check_theta(sol: EmbeddingSolution) -> Check:
                  f"|G'| = {len(theta)}, |H| = {len(h.elements)}")
 
 
+def _check_prime_bound(p: int, m: int, ell: int) -> Check:
+    """p is a prime above max(m, ell): the shift's p rows hold the ell kernel
+    diagonals, and the cycler needs m invertible mod p."""
+    bound = max(m, ell)
+    if not _is_prime(p):
+        return Check("prime-bound", FAIL, f"p = {p} is not prime")
+    if p <= bound:
+        return Check("prime-bound", FAIL, f"p = {p} is not above max(m, ell) = {bound}")
+    return Check("prime-bound", PASS, f"p = {p} > max(m, ell) = {bound}")
+
+
+def _check_kernel_coverage(sol: EmbeddingSolution, kernel, sweep) -> Check:
+    """The cycler's sweep stays in G' and its theta values cover ker alpha_hat."""
+    if sweep is None:
+        return Check("kernel-coverage", FAIL, f"no cycler: m has no inverse modulo p = {sol.p}")
+    got = {s.data[0][1].data[0][1] for s in sweep}
+    lack = next((x for x in kernel if x not in got), None)
+    if lack is not None:
+        return Check("kernel-coverage", FAIL, f"kernel element {short_str(lack)} not swept")
+    escaped = next((j for j, s in enumerate(sweep) if s not in sol.group.index), None)
+    if escaped is not None:
+        return Check("kernel-coverage", FAIL, f"sweep element {escaped} escapes the subgroup at e'")
+    return Check("kernel-coverage", PASS, f"{len(kernel)} kernel elements in {sol.p} steps")
+
+
+def _check_section(sol: EmbeddingSolution) -> Check:
+    """sigma, the canonical section of alpha_hat, is a section, alpha_hat(sigma(k))
+    = k for every k of K, and its values lie in theta(G')."""
+    ahat = sol.problem.alpha_hat
+    ks = sol.problem.base.group.elements
+    sigma = canonical_section(ahat)
+    theta_vals = set(sol.theta_map.values())
+    wrong = next((k for k in ks if ahat.map.get(sigma.get(k)) != k), None)
+    if wrong is not None:
+        return Check("section-coverage", FAIL, f"sigma({short_str(wrong)}) does not lie over it")
+    lack = next((k for k in ks if sigma[k] not in theta_vals), None)
+    if lack is not None:
+        return Check("section-coverage", FAIL, f"sigma({short_str(lack)}) misses the theta image")
+    return Check("section-coverage", PASS, f"section of {len(ks)} elements")
+
+
 def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionReport:
     """Report on every claim of the extension construction.
 
-    Foundational checks pin e' and rho, which in full mode is checked on
-    every edge of M'; block projection, single-column, preimage coverage
-    and ideal identification follow the construction's matrix claims in
-    one read of every element's blocks; kernel and section coverage, the
-    theta isomorphism and the compatibility alpha o theta = rho certify
-    the group extension itself; and wherever rho passed its edge check,
-    the minimal ideal image checks of rho run last.  Capped mode checks
-    rho and block projection on the generators, runs the other block
-    checks on sampled words (``seed`` seeds them) and skips the checks
-    that need M', recording it in the check witness.
+    nu = |ker alpha_hat|, ell = nu^b, m, r = m^-1 mod p and the cycler are
+    derived here from the problem and the block generators alone, shown
+    as the params and checked against p by ``prime-bound``.  Foundational
+    checks pin e' and rho, which in full mode is checked on every edge of
+    M'; block projection, single-column, preimage coverage and ideal
+    identification read every element's blocks once; kernel and section
+    coverage, the theta isomorphism and alpha o theta = rho certify the
+    group extension; and wherever rho passed its edge check, the minimal
+    ideal image checks of rho run last.  Capped mode checks rho and block
+    projection on the generators, runs the other block checks on sampled
+    words (``seed`` seeds them) and skips the checks that need M'.
     """
-    base = sol.problem.base
-    h = sol.problem.h
-    ahat = sol.problem.alpha_hat
+    prob = sol.problem
+    base = prob.base
+    h = prob.h
+    mul = sol.block_mul
+    kernel = _kernel(prob)
+    ell = len(kernel) ** base.b
+    m_power = _lift_exponent(prob, sol.raw[0].data[0][1])
+    r, sweep = _kernel_sweep(prob, sol.raw, sol.e_prime, m_power, sol.p, mul)
     report = ConstructionReport(
         "embed",
         params=[
             ("base", base.monoid.name),
             ("group", h.name),
             ("subgroup", base.group.name),
-            ("p", sol.p), ("nu", sol.nu), ("ell", sol.ell),
-            ("m", sol.m), ("r", sol.r), ("mode", sol.mode),
+            ("p", sol.p), ("nu", len(kernel)), ("ell", ell),
+            ("m", m_power), ("r", "-" if r is None else r), ("mode", sol.mode),
             ("size", len(sol.mprime.elements) if sol.mprime is not None else sol.capnote),
         ],
     )
-    mul = sol.block_mul
     full = sol.mprime is not None
 
+    report.add(_check_prime_bound(sol.p, m_power, ell))
     ok = mul(sol.e_prime, sol.e_prime) == sol.e_prime
     report.add(Check("e-prime-idempotent", PASS if ok else FAIL))
     entry = sol.e_prime.data[0][1].data[0][1]
@@ -908,39 +933,16 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
     rho_check = _check_rho(sol)
     report.add(rho_check)
 
-    for check in _check_blocks_enumerated(sol) if full else _check_blocks_sampled(sol, seed):
+    for check in _check_blocks_enumerated(sol, ell) if full else _check_blocks_sampled(sol, ell, seed):
         report.add(check)
 
-    theta_vals = set(sol.theta_map.values())
-    sweep = []
-    cj = sol._block_identity()
-    member = set(sol.group_elements)
-    missing = ""
-    for j in range(sol.p):
-        s = mul(mul(sol.e_prime, cj), sol.e_prime)
-        sweep.append(s.data[0][1].data[0][1])
-        if s not in member:
-            missing = f"sweep element {j} escapes the subgroup at e'"
-        cj = mul(cj, sol.cycler)
-    got = set(sweep)
-    lack = [x for x in sol.n_elements if x not in got]
-    if lack:
-        missing = f"kernel element {short_str(lack[0])} not swept"
-    report.add(Check("kernel-coverage", PASS if not missing else FAIL,
-                     missing or f"{sol.nu} kernel elements in {sol.p} steps"))
-
-    sect = [sol.sigma[k] for k in base.group.elements]
-    lack = [x for x in sect if x not in theta_vals]
-    report.add(Check("section-coverage", PASS if not lack else FAIL,
-                     f"section of {len(sect)} elements" if not lack else
-                     f"sigma({short_str(lack[0])}) misses the theta image"))
-
+    report.add(_check_kernel_coverage(sol, kernel, sweep))
+    report.add(_check_section(sol))
     report.add(_check_theta(sol))
 
     bad = ""
-    for s in sol.group_elements:
-        want = sol.rho_of(s)
-        if want is None or ahat.map[sol.theta_map[s]] != want:
+    for s in sol.group.elements:
+        if prob.alpha_hat.map[sol.theta_map[s]] != sol.rho_of(s):
             bad = f"at {short_str(s)}"
             break
     report.add(Check("alpha-rho-compatible", PASS if not bad else FAIL, bad))

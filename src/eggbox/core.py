@@ -58,10 +58,10 @@ class FiniteMonoid:
     for x′ = ``prefix[i]`` and a the ``last[i]``-th generator, and b·s for
     b the ``first[i]``-th generator and s = ``suffix[i]``; :meth:`word`
     spells a word out.  :func:`generate_monoid` hands in both graphs, the
-    quadruples (prefix, last, first, suffix) as ``origin`` and its index,
-    with the product associative on M; a monoid built without the graphs
-    multiplies the right one out here and Green's classification
-    (:func:`~eggbox.green.green_structure`) the left one into ``left``.
+    four pointer lists and its index, with the product associative on M; a
+    monoid built without the graphs multiplies the right one out here and
+    Green's classification (:func:`~eggbox.green.green_structure`) the left
+    one into ``left``.
     """
 
     __slots__ = (
@@ -81,14 +81,15 @@ class FiniteMonoid:
         "_ideal",
     )
 
-    def __init__(self, name, elements, mul, identity, generators, origin, right=None, left=None, index=None):
+    def __init__(self, name, elements, mul, identity, generators, prefix, last, first, suffix,
+                 right=None, left=None, index=None):
         self.name = name
         self.elements = tuple(elements)
         self.mul = mul
         self.identity = identity
         self.generators = tuple(generators)
         self.index = index = index or {x: i for i, x in enumerate(self.elements)}
-        self.prefix, self.last, self.first, self.suffix = map(list, zip(*origin))
+        self.prefix, self.last, self.first, self.suffix = prefix, last, first, suffix
         if right is None:
             right = [[index[mul(x, a)] for a in self.generators] for x in self.elements]
         self.right = right
@@ -275,7 +276,7 @@ def generate_monoid(
     _check_identity(product_rule, identity, [identity] + seeds)
 
     elements, index, right, left = [], {}, [], []
-    origin = []  # (p, b, f, s) for x = p·b = f·s, with first letter f and suffix s
+    prefix, last, first, suffix = [], [], [], []  # x = p·b = f·s, with first letter f and suffix s
     fresh, pending = {identity: None}, []  # the next level, each found as (p, b, s)
     start = end = 0  # the level walked is elements[start:end]
     while True:
@@ -284,21 +285,23 @@ def generate_monoid(
             raise CapExceeded(cap, count)
         for y in sorted(fresh, key=attrgetter("key")):
             p, b, s = fresh[y] or (None, None, None)
-            origin.append((p, b, origin[p][2] if p else b, s))
+            prefix.append(p)
+            last.append(b)
+            first.append(first[p] if p else b)
+            suffix.append(s)
             index[y] = len(elements)
             elements.append(y)
         for row, t, y in pending:
             row[t] = index[y]
         # a·1 = 1·a, and a·x = (a·p)·b
         for x in range(start, end):
-            p, b = origin[x][:2]
-            left.append([right[q][b] for q in left[p]] if x else right[0])
+            left.append([right[q][last[x]] for q in left[prefix[x]]] if x else right[0])
         if not fresh:
             break
         start, end = end, count
         fresh, pending = {}, []
         for x in range(start, end):
-            f, s = origin[x][2:]
+            f, s = first[x], suffix[x]
             row = []
             for t, a in enumerate(seeds):
                 r = right[s][t] if x else 0
@@ -319,7 +322,8 @@ def generate_monoid(
         carrier = getattr(product_rule, "carrier", None)
         if carrier is not None and all(x in index for x in carrier):
             product_rule.associative = True
-    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds, origin, right, left, index)
+    return FiniteMonoid(name or "monoid", elements, product_rule, identity, seeds,
+                        prefix, last, first, suffix, right, left, index)
 
 
 def omega_power(m: FiniteMonoid, x: Element) -> Element:

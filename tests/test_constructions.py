@@ -7,6 +7,7 @@ import pytest
 from eggbox import constructions
 from eggbox.constructions import (
     EmbeddingProblem,
+    EmbeddingSolution,
     assemble_embedding,
     build_idempotent_cover,
     cover_idempotent_witnesses,
@@ -371,7 +372,7 @@ def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
     monkeypatch.setattr(constructions, "_alphabar", counted)
     sol = solve_embedding(prob, require_full=True)
     assert made == {}
-    checks = constructions._check_blocks_enumerated(sol)
+    checks = constructions._check_blocks_enumerated(sol, ell_of(sol))
     assert all(c.status == "pass" for c in checks)
     blocks = {blk for v in sol.mprime.elements for _, blk in v.data}
     assert set(made) == blocks
@@ -429,24 +430,25 @@ def test_embedding_solutions_match_frozen_parameters():
     probs = embedding_problems()
     for key, (p, nu, ell, m, size, gname) in FROZEN.items():
         sol = solve_embedding(probs[key], require_full=True)
-        assert (sol.p, sol.nu, sol.ell, sol.m) == (p, nu, ell, m), key
         assert len(sol.mprime.elements) == size, key
         assert is_isomorphic(sol.group, builtin_group(gname)) is not None, key
         report = verify_embedding(sol)
+        params = dict(report.params)
+        assert (params["p"], params["nu"], params["ell"], params["m"]) == (p, nu, ell, m), key
         assert report.passed, report.text()
         assert not any(c.status == "skipped" for c in report.checks)
 
 
 def test_e2_diagonal_lifts():
-    probs = embedding_problems()
-    sol = solve_embedding(probs["E2"])
+    prob = embedding_problems()["E2"]
     # kernel of C4 ->> C2 is {1, g^2}; its 1-block diagonals seed the rows
-    assert len(sol.nbt) == sol.nu  # b = 1 here, so nu^b = nu
-    assert set(sol.n_elements) <= set(sol.problem.alpha.source.elements)
-    c4 = sol.problem.alpha.source
+    kernel = constructions._kernel(prob)
+    nbt = constructions._kernel_diagonals(prob)
+    assert len(nbt) == len(kernel) == 2  # b = 1 here, so nu^b = nu
+    c4 = prob.alpha.source
     gsq = c4.mul(c4.generators[0], c4.generators[0])
-    entries = {blk.data[0][1] for blk in sol.nbt}
-    assert entries == {c4.identity, gsq}
+    assert kernel == (c4.identity, gsq)
+    assert [blk.data[0][1] for blk in nbt] == [c4.identity, gsq]
 
 
 def test_prime_override_rules():
@@ -474,8 +476,96 @@ def test_capped_solve_degrades_gracefully():
     assert report.passed  # skipped checks are not failures
     skipped = {c.name for c in report.checks if c.status == "skipped"}
     assert "rho-ideal-image" in skipped
+    # the block checks that ran on sampled words say so
+    names = {c.name: c for c in report.checks}
+    for name in ("single-column", "preimage-coverage"):
+        assert names[name].witness == "sampled 50 words", name
     with pytest.raises(CapExceeded):
         solve_embedding(probs["E2"], cap=50, require_full=True)
+
+
+def test_the_solution_holds_no_parameter_the_verifier_derives():
+    # corrupting n_elements, nu, m or r once passed every check; the slots
+    # are gone, and the report shows the verifier's own values
+    sol = solve_embedding(embedding_problems()["E2"])
+    assert len(EmbeddingSolution.__slots__) == 14
+    for slot in ("nu", "ell", "m", "r", "n_elements", "nbt", "sigma", "cycler"):
+        with pytest.raises(AttributeError):
+            setattr(sol, slot, 1)
+    params = dict(verify_embedding(sol).params)
+    assert (params["nu"], params["ell"], params["m"], params["r"]) == (2, 2, 4, 4)
+    assert repr(sol) == "EmbeddingSolution(p=5, full, |M'|=120)"
+
+
+def test_section_coverage_needs_a_section(monkeypatch):
+    prob = embedding_problems()["E2"]
+    sol = solve_embedding(prob)
+    k = prob.base.group
+    flip = next(x for x in k.elements if x != k.identity)
+    # sigma sending every k to the identity once passed every check
+    monkeypatch.setattr(constructions, "canonical_section",
+                        lambda ahat: {x: prob.h.identity for x in k.elements})
+    names = {ch.name: ch for ch in verify_embedding(sol).checks}
+    assert (names["section-coverage"].status, names["section-coverage"].witness) == \
+        ("fail", f"sigma({short_str(flip)}) does not lie over it")
+    monkeypatch.undo()
+    # a section value outside theta(G') is named by the k it lifts
+    doctored = copy.copy(sol)
+    sigma = constructions.canonical_section(prob.alpha_hat)
+    one = prob.h.identity
+    doctored.theta_map = {s: one if h == sigma[flip] else h for s, h in sol.theta_map.items()}
+    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    assert (names["section-coverage"].status, names["section-coverage"].witness) == \
+        ("fail", f"sigma({short_str(flip)}) misses the theta image")
+
+
+def generators_for(sol, q):
+    """E2's block generators rebuilt for the modulus q, past the solver's
+    prime check: the shift on q rows with the constant lift block, and the
+    single column whose first ell = 2 blocks hold the kernel diagonals."""
+    lift = sol.raw[0].data[0][1]
+    column = [blk for _, blk in sol.raw[1].data]
+    return [row_monomial(((i + 1) % q, lift) for i in range(q)),
+            row_monomial((0, blk) for blk in column[:2] + column[-1:] * (q - 2))]
+
+
+def test_prime_bound_is_checked():
+    probs = embedding_problems()
+    sol = solve_embedding(probs["E2"])
+    assert assemble_embedding(probs["E2"], 5, generators_for(sol, 5)).raw == sol.raw
+    for q, why in ((3, "p = 3 is not above max(m, ell) = 4"), (9, "p = 9 is not prime")):
+        report = verify_embedding(assemble_embedding(probs["E2"], q, generators_for(sol, q)))
+        names = {ch.name: ch for ch in report.checks}
+        assert (names["prime-bound"].status, names["prime-bound"].witness) == ("fail", why), q
+    # at p = 4, m = 4 has no inverse: no r, and no cycler to sweep the kernel
+    report = verify_embedding(assemble_embedding(probs["E2"], 4, generators_for(sol, 4)))
+    names = {ch.name: ch for ch in report.checks}
+    assert dict(report.params)["r"] == "-"
+    assert names["kernel-coverage"].witness == "no cycler: m has no inverse modulo p = 4"
+    sols = [solve_embedding(probs[key]) for key in sorted(probs)]
+    sols.append(solve_embedding(probs["E2"], p_override=7))
+    for sol in sols:
+        names = {ch.name: ch for ch in verify_embedding(sol).checks}
+        assert names["prime-bound"].status == "pass", sol
+
+
+def test_the_build_computes_each_quantity_once(monkeypatch):
+    # the kernel diagonals, sigma, the inner rule and m, once each; a capped
+    # assembly computes m once more, from the first generator, for its seeds
+    prob = embedding_problems()["E2"]  # makes the inner rule
+    calls = {}
+    for name in ("canonical_section", "_kernel_diagonals", "_lift_exponent", "make_rowmono_mul"):
+        def counted(*args, _f=getattr(constructions, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(constructions, name, counted)
+    # make_rowmono_mul makes the block rule alone
+    once = {"canonical_section": 1, "_kernel_diagonals": 1, "_lift_exponent": 1, "make_rowmono_mul": 1}
+    assert solve_embedding(prob).mode == "full"
+    assert calls == once
+    calls.clear()
+    assert solve_embedding(prob, cap=50).mode == "capped"
+    assert calls == dict(once, _lift_exponent=2)
 
 
 def test_mutation_is_detected():
@@ -493,6 +583,11 @@ def test_mutation_is_detected():
     report = verify_embedding(bad)
     failures = [c for c in report.checks if c.status == "fail"]
     assert failures and all(c.witness for c in failures)
+
+
+def ell_of(sol):
+    """ell = nu^b, as the verifier derives it."""
+    return len(constructions._kernel(sol.problem)) ** sol.problem.base.b
 
 
 def enumerated_preimages_held(sol, eta, mw):
@@ -555,13 +650,14 @@ def test_counted_coverage_agrees_with_the_enumeration():
         # product fold; those in J' carry the coverage check
         schutz = sol.problem.base.schutz.map
         assert [(v, schutz[sol.rho_map[v]], w) for v, _, w in cases] == cases, key
-        single = constructions._check_blocks_enumerated(sol)[1]
+        ell = ell_of(sol)
+        single = constructions._check_blocks_enumerated(sol, ell)[1]
         assert single.witness == f"{len(cases)} elements of J'", key
         for case in cases:
             v, mv, w = case
             held, total = enumerated_preimages_held(sol, v, mv)
-            assert total == sol.ell, key
-            _, _, _, coverage = constructions._check_blocks(sol, [case], {v}, "", lambda w: w)
+            assert total == ell, key
+            _, _, _, coverage = constructions._check_blocks(sol, ell, [case], {v}, "", lambda w: w)
             if held < total:
                 short.add(key)
                 assert coverage.witness == \
@@ -592,7 +688,7 @@ def with_element_replaced(sol, v, bad):
 
     doctored = copy.copy(sol)
     doctored.mprime = FiniteMonoid(m.name, map(swap, m.elements), m.mul, m.identity,
-                                   m.generators, zip(m.prefix, m.last, m.first, m.suffix),
+                                   m.generators, m.prefix, m.last, m.first, m.suffix,
                                    m.right, m.left)
     doctored.ideal = SubSemigroup(doctored.mprime, map(swap, sol.ideal.elements))
     doctored.rho_map = {swap(x): u for x, u in sol.rho_map.items()}
@@ -714,7 +810,12 @@ def test_full_mode_verification_samples_nothing(monkeypatch):
             return block_mul(x, y)
 
         sol.block_mul = counted
-        assert verify_embedding(sol).passed, key
-        # e'·e' and the kernel sweep's three products per step; the block
-        # checks and ideal identification read J' and make none
-        assert products[0] == 1 + 3 * sol.p, key
+        report = verify_embedding(sol)
+        assert report.passed, key
+        # the cycler x~_1^(m·r) by squaring, its p - 1 further powers, e'·e'
+        # and two products per step of the kernel sweep; the block checks
+        # and ideal identification read J' and make none.  m and p are the
+        # frozen ones, not the report's
+        p, _, _, m, _, _ = FROZEN[key]
+        k = m * pow(m, -1, p)
+        assert products[0] == k.bit_length() + bin(k).count("1") + 3 * p, key

@@ -302,7 +302,7 @@ def test_hom_from_generator_images_takes_one_product_per_element_and_edge():
         return m.mul(p, q)
 
     target = FiniteMonoid("T4", m.elements, counting, m.identity, m.generators,
-                          zip(m.prefix, m.last, m.first, m.suffix), m.right)
+                          m.prefix, m.last, m.first, m.suffix, m.right)
     assert MonoidHom.from_generator_images(m, target, m.generators).is_surjective()
     # one product per element past the identity extends the images along
     # the witness words, one per right Cayley edge validates the map; a

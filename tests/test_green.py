@@ -101,7 +101,7 @@ def test_left_graph_read_off_the_closure_matches_products():
     # a monoid handed no edges multiplies both graphs out, the left one
     # when it is classified
     bare = FiniteMonoid("T4-bare", t4.elements, t4.mul, t4.identity, t4.generators,
-                        zip(t4.prefix, t4.last, t4.first, t4.suffix))
+                        t4.prefix, t4.last, t4.first, t4.suffix)
     assert bare.left is None
     green_structure(bare)
     assert bare.left == multiplied_left_graph(t4)
@@ -144,7 +144,7 @@ def test_minimal_ideal_needs_exactly_one_closed_class():
     # J-class looks closed and no minimal ideal can be told apart
     m = t3()
     bare = FiniteMonoid("T3-bare", m.elements, m.mul, m.identity, (),
-                        zip(m.prefix, m.last, m.first, m.suffix))
+                        m.prefix, m.last, m.first, m.suffix)
     with pytest.raises(InternalInconsistency):
         minimal_ideal(bare)
 
@@ -213,7 +213,7 @@ def monoid_with_one_bad_product(c, gen):
 
     m = c.monoid
     return FiniteMonoid("bad", m.elements, mul, m.identity, m.generators,
-                        zip(m.prefix, m.last, m.first, m.suffix))
+                        m.prefix, m.last, m.first, m.suffix)
 
 
 def test_rees_law_agrees_with_the_all_pairs_oracle():
@@ -253,7 +253,7 @@ def test_rees_coordinates_products_are_linear_in_the_ideal():
 
     m = c.monoid
     m = FiniteMonoid("C3-cover", m.elements, counting, m.identity, m.generators,
-                     zip(m.prefix, m.last, m.first, m.suffix))
+                     m.prefix, m.last, m.first, m.suffix)
     ideal = minimal_ideal(m)
     assert len(ideal) == 108
     count[0] = 0

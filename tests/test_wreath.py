@@ -84,7 +84,7 @@ def counted(m):
         return m.mul(p, q)
 
     return FiniteMonoid(m.name, m.elements, mul, m.identity, m.generators,
-                        zip(m.prefix, m.last, m.first, m.suffix), m.right), count
+                        m.prefix, m.last, m.first, m.suffix, m.right), count
 
 
 def schutz_is_injective(m):
@@ -225,7 +225,7 @@ def test_rlm_rejects_a_bad_product_inside_an_l_class():
         return wrong if (p == u and q == c.x) else m.mul(p, q)
 
     bad = FiniteMonoid("bad", m.elements, mul, m.identity, m.generators,
-                       zip(m.prefix, m.last, m.first, m.suffix))
+                       m.prefix, m.last, m.first, m.suffix)
     assert green_structure(bad).h_classes == gs.h_classes
     with pytest.raises(InternalInconsistency, match="not multiplicative"):
         rlm(bad)
