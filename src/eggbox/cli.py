@@ -92,8 +92,6 @@ def cmd_cover(args) -> int:
     cover = build_idempotent_cover(h, args.n, mode=args.mode, cap=args.cap)
     report = verify_cover(cover)
     if args.out:
-        if cover.monoid is None:
-            raise UnknownObject("cheap mode builds no monoid to write; use --mode full")
         name = write_cover_definition(cover, args.out)
         report.set_param("written", f"{args.out}:{name}")
     return _emit(report)
@@ -113,7 +111,7 @@ def cmd_embed(args) -> int:
         alpha = defs.homs[args.names[1]]
     prob = EmbeddingProblem(alpha, prepare_base(base))
     sol = solve_embedding(prob, p_override=args.prime, cap=args.cap)
-    return _emit(verify_embedding(sol, seed=args.seed))
+    return _emit(verify_embedding(sol))
 
 
 def cmd_srank(args) -> int:
@@ -160,9 +158,8 @@ def _at_least_one(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub, defs=True, cap=False):
-    if defs:
-        sub.add_argument("--defs", metavar="PATH", help="definition file to load")
+def _add_common(sub, cap=False):
+    sub.add_argument("--defs", metavar="PATH", help="definition file to load")
     if cap:
         sub.add_argument("--cap", type=_at_least_one, default=DEFAULT_CAP, metavar="N",
                          help="closure size cap")
@@ -203,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=None,
                    help="override the modulus prime")
     _add_common(p, cap=True)
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="seed of the words a capped verification samples")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("srank", help="S-rank of a group")

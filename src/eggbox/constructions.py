@@ -15,15 +15,15 @@ matrices.  Cover checks are exact at every size, the idempotent span read
 off the sandwich matrix.  The embedding is built unchecked, rho read off
 the base along witness words; its verifier checks rho on every edge of M',
 the blocks of every element of M' in one pass, and theta on every edge of
-G''s right Cayley graph.  Only a capped closure, which nothing enumerates,
-is checked on sampled words, and its witnesses say so.
+G''s right Cayley graph.  A capped closure, which nothing enumerates, is
+checked exactly, by lemmas, from the two orbits e'M' and M'e'.
 """
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from itertools import accumulate, count, product as iter_product, repeat
+from math import gcd
 from typing import Optional
 
 from .core import (
@@ -67,8 +67,6 @@ from .wreath import (
     schutz_faithful_quotient,
     schutz_rep,
 )
-
-WORD_SAMPLE = 50
 
 
 def _constant_col(u: Element) -> Optional[int]:
@@ -389,29 +387,19 @@ def verify_cover(c: CoverResult, seed: int = 0) -> ConstructionReport:
 class PreparedBase:
     """A base monoid normalized for the extension construction.
 
-    ``word`` is the deterministic full-support word, ``f`` the anchored
-    idempotent omega(omega(g1) z omega(g2)) with z the word's value,
-    ``rees`` the coordinatization of the minimal ideal at f, ``group`` the
-    maximal subgroup K there, ``schutz`` the Schutzenberger representation,
-    ``matrices`` the generator images and ``m_f`` the image of f, whose
-    first column is the identity.  ``to_faithful`` records the quotient
-    that was applied when the input was not faithful on its minimal ideal.
+    ``word`` is the deterministic full-support word and ``f`` the anchored
+    idempotent omega(omega(g1) z omega(g2)), z the word's value; ``group``,
+    ``schutz`` and ``b`` are K, the Schutzenberger representation and the
+    L-class count at f, and ``matrices`` the generators' images.
     """
 
-    __slots__ = ("monoid", "original", "to_faithful", "ideal", "rees", "group",
-                 "schutz", "matrices", "m_f", "f", "b", "word")
+    __slots__ = ("monoid", "group", "schutz", "matrices", "f", "b", "word")
 
-    def __init__(self, monoid, original, to_faithful, ideal, rees, group,
-                 schutz, matrices, m_f, f, b, word):
+    def __init__(self, monoid, group, schutz, matrices, f, b, word):
         self.monoid = monoid
-        self.original = original
-        self.to_faithful = to_faithful
-        self.ideal = ideal
-        self.rees = rees
         self.group = group
         self.schutz = schutz
         self.matrices = matrices
-        self.m_f = m_f
         self.f = f
         self.b = b
         self.word = word
@@ -434,10 +422,8 @@ def prepare_base(m) -> PreparedBase:
     if len(m.generators) < 2:
         raise TooFewGenerators(
             f"{m.name} lists {len(m.generators)} generators, the construction needs two")
-    original = m
-    to_faithful = None
     if not is_faithful_on_min_ideal(m):
-        m, to_faithful = schutz_faithful_quotient(m)
+        m = schutz_faithful_quotient(m)[0]
     ideal = minimal_ideal(m)
     idx, times = m.index, m.times
     x0 = min((idx[x] for x in ideal.elements), key=lambda i: (len(m.word(i)), m.word(i)))
@@ -454,13 +440,11 @@ def prepare_base(m) -> PreparedBase:
         raise InternalInconsistency("anchored idempotent does not absorb the generator omegas")
     rc = rees_coordinates(m, ideal, f)
     schutz = schutz_rep(m, rc)
-    matrices = tuple(schutz.map[g] for g in m.generators)
-    m_f = schutz.map[f]
-    for col, val in m_f.data:
+    for col, val in schutz.map[f].data:
         if col != 0 or val != rc.group.identity:
             raise InternalInconsistency("matrix of f is not the first-column identity")
-    return PreparedBase(m, original, to_faithful, ideal, rc, rc.group, schutz,
-                        matrices, m_f, f, rc.n_b, word)
+    return PreparedBase(m, rc.group, schutz, tuple(schutz.map[g] for g in m.generators),
+                        f, rc.n_b, word)
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +513,13 @@ def _block_identity(prob: EmbeddingProblem, p: int) -> Element:
     return row_monomial((i, inner) for i in range(p))
 
 
-def _kernel_sweep(prob: EmbeddingProblem, raw, e_prime: Element, m: int, p: int, block_mul):
-    """(r, sweep): r = m^-1 mod p and e'·c^j·e' for j < p, the sweep of the
-    cycler c = x~_1^(m·r) through the subgroup at e'; (None, None) when m
-    has no inverse mod p."""
-    try:
-        r = pow(m, -1, p)
-    except ValueError:
-        return None, None
-    ident = _block_identity(prob, p)
-    cycler = _power(raw[0], m * r, block_mul, ident)
-    powers = accumulate(repeat(cycler, p - 1), block_mul, initial=ident)
-    return r, [block_mul(block_mul(e_prime, c), e_prime) for c in powers]
+def _anchor(prob: EmbeddingProblem, p: int, raw, mul) -> Element:
+    """e' = omega(omega(x~_1)·eta(w)·omega(x~_2)) for the base's word w."""
+    base = prob.base
+    guard = p * (len(prob.h.elements) ** base.b * base.b + 2)
+    o1, o2 = (_least_idempotent_power(t, mul, guard)[1] for t in raw[:2])
+    eta_w = reduce(mul, (raw[gi] for gi in base.word), _block_identity(prob, p))
+    return _least_idempotent_power(mul(mul(o1, eta_w), o2), mul, guard)[1]
 
 
 class EmbeddingSolution:
@@ -548,33 +527,28 @@ class EmbeddingSolution:
     and derives the parameters nu, ell, m and r itself.
 
     ``raw`` holds the block generators; ``mprime`` is their closure in
-    full mode and None when the cap was hit (``capnote`` says so).
-    ``group`` is the enumerated maximal subgroup G' at e': a group in full
-    mode, and in capped mode the monoid its seeds generate.  In full mode
-    ``rho_map`` sends each element of M' to the base element its witness
-    word reaches, unchecked until :func:`verify_embedding` walks its edges;
-    capped mode leaves it empty, and ``rho_of`` reads the base element off
-    an element's first block in every mode.
+    full mode and None when the cap was hit.  ``group`` is G', the H-class
+    of e' (a group in full mode, the monoid on e'M'e' in capped mode).  In
+    full mode ``rho_map`` sends each element of M' to the base element its
+    witness word reaches, unchecked until :func:`verify_embedding` walks
+    its edges; capped mode leaves it empty, and ``rho_of`` reads the base
+    element off an element's first block in every mode.
     """
 
     __slots__ = ("problem", "p", "raw", "mprime", "ideal", "rho_map", "e_prime", "group",
-                 "group_elements", "theta_map", "mode", "capnote", "block_mul", "schutz_inverse")
+                 "group_elements", "theta_map", "mode", "block_mul", "schutz_inverse")
 
     def __init__(self, **kw):
         for slot in self.__slots__:
             setattr(self, slot, kw[slot])
 
     def __repr__(self):
-        size = len(self.mprime.elements) if self.mprime is not None else self.capnote
-        return f"EmbeddingSolution(p={self.p}, {self.mode}, |M'|={size})"
+        size = f", |M'|={len(self.mprime.elements)}" if self.mprime is not None else ""
+        return f"EmbeddingSolution(p={self.p}, {self.mode}{size})"
 
     def rho_of(self, v: Element) -> Optional[Element]:
         """Base element under the first block, if its projection is one."""
         return self.schutz_inverse.get(_alphabar(self.problem.alpha_hat, v.data[0][1]))
-
-    def eta(self, word) -> Element:
-        """Product of the block generators along a base word."""
-        return reduce(self.block_mul, (self.raw[gi] for gi in word), _block_identity(self.problem, self.p))
 
 
 def solve_embedding(prob: EmbeddingProblem, p_override: Optional[int] = None,
@@ -617,8 +591,7 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
     fails.  In full mode rho is read off the base along witness words:
     rho(1) = 1 and rho(x·x~_a) = rho(x)·g_a along each word, |M'| lookups
     in the base's right Cayley graph and no product.  The closure cap
-    switches to capped mode, where M' stays unenumerated and the maximal
-    subgroup at e' is generated from its known coset sweep instead.
+    switches to capped mode: M' stays unenumerated and G' is e'M'e' = H'.
     ``strict`` is accepted for old callers and ignored.
     """
     base = prob.base
@@ -628,31 +601,24 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
         raise NotWellDefined(
             f"{len(raw)} block generators for {len(base.matrices)} base generators")
     block_mul = make_rowmono_mul(prob.inner_mul)
-    block_ident = _block_identity(prob, p)
 
-    block_guard = p * (len(h.elements) ** base.b * base.b + 2)
-    o1 = _least_idempotent_power(raw[0], block_mul, block_guard)[1]
-    o2 = _least_idempotent_power(raw[1], block_mul, block_guard)[1]
-    eta_w = reduce(block_mul, (raw[gi] for gi in base.word), block_ident)
-    e_prime = _least_idempotent_power(block_mul(block_mul(o1, eta_w), o2), block_mul, block_guard)[1]
+    e_prime = _anchor(prob, p, raw, block_mul)
 
     schutz_inverse = {mat: u for u, mat in base.schutz.map.items()}
     if len(schutz_inverse) != len(base.schutz.map):
         raise InternalInconsistency("base representation is not faithful")
 
     mode = "full"
-    capnote = ""
     mprime = None
     try:
         mprime = generate_monoid(
-            raw, block_mul, cap=cap, identity=block_ident,
+            raw, block_mul, cap=cap, identity=_block_identity(prob, p),
             name=f"ext[{h.name}->{base.monoid.name}]",
         )
-    except CapExceeded as ex:
+    except CapExceeded:
         if require_full:
             raise
         mode = "capped"
-        capnote = f"cap {ex.cap} exceeded (at least {ex.reached} elements)"
 
     ideal_p = None
     rho_map = {}
@@ -663,21 +629,15 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
         rho_map = {v: bm.elements[i] for v, i in zip(mprime.elements, at)}
         group = maximal_subgroup(mprime, e_prime, ideal=ideal_p)
     else:
-        m = _lift_exponent(prob, raw[0].data[0][1])
-        _, seeds = _kernel_sweep(prob, raw, e_prime, m, p, block_mul)
-        if seeds is None:
-            raise PrimeBoundViolated(f"m = {m} is not invertible modulo p = {p}")
-        for kk in base.group.elements:
-            acc = reduce(block_mul, (raw[gi] for gi in bm.word(bm.index[kk])), block_ident)
-            seeds.append(block_mul(block_mul(e_prime, acc), e_prime))
-        group = generate_monoid(seeds, block_mul, cap=cap, identity=e_prime,
-                                name=f"G'[{h.name}]")
+        right = closure([e_prime], raw, block_mul)[1]  # e'M'
+        group = generate_monoid([z for z in right if block_mul(z, e_prime) == z], block_mul,
+                                identity=e_prime, name=f"G'[{h.name}]")
     theta_map = {s: s.data[0][1].data[0][1] for s in group.elements}
 
     return EmbeddingSolution(
         problem=prob, p=p, raw=raw, mprime=mprime, ideal=ideal_p, rho_map=rho_map,
         e_prime=e_prime, group=group, group_elements=group.elements, theta_map=theta_map,
-        mode=mode, capnote=capnote, block_mul=block_mul, schutz_inverse=schutz_inverse,
+        mode=mode, block_mul=block_mul, schutz_inverse=schutz_inverse,
     )
 
 
@@ -685,21 +645,16 @@ def assemble_embedding(prob: EmbeddingProblem, p: int, tilde_x, strict: bool = F
 # embedding verification
 
 
-def _sample_word(rnd: random.Random, base: PreparedBase):
-    """A full-support word that provably lands in the minimal ideal.
-
-    Every sample embeds ``base.word``, which already visits the kernel and
-    every generator, so both block coverage properties are in force for it.
-    """
-    ng = len(base.monoid.generators)
-    pre = tuple(rnd.randrange(ng) for _ in range(rnd.randrange(3)))
-    perm = list(range(ng))
-    rnd.shuffle(perm)
-    suf = tuple(rnd.randrange(ng) for _ in range(rnd.randrange(3)))
-    return pre + base.word + tuple(perm) + suf
+def _flat(v: Element) -> bool:
+    """Constant on one column, outside and inside, as the elements of J' are."""
+    inner = {_constant_col(blk) for _, blk in v.data}
+    return _constant_col(v) is not None and len(inner) == 1 and None not in inner
 
 
 def _check_block_projection(sol: EmbeddingSolution) -> Check:
+    """Each block of each generator x~_a lies over M_ga.  By induction every
+    v lies over one M_v, as a block of x·y is a block of x times one of y:
+    v -> M_v is multiplicative, the Schutzenberger image of rho."""
     base = sol.problem.base
     for gi, t in enumerate(sol.raw):
         for row, (_, blk) in enumerate(t.data):
@@ -773,26 +728,77 @@ def _check_blocks_enumerated(sol: EmbeddingSolution, ell: int):
     return projection, single, coverage, identification
 
 
-def _check_blocks_sampled(sol: EmbeddingSolution, ell: int, seed: int):
-    """The block checks on a capped closure, which enumerates nothing:
-    ``WORD_SAMPLE`` full-support words w, all in J', are sampled (``seed``
-    seeds them) and eta(w) multiplied out, with M_w read by walking the
-    base's right Cayley graph along w.  Block projection is checked on the
-    generators."""
-    base = sol.problem.base
-    bm = base.monoid
-    rnd = random.Random(seed)
-    words = [_sample_word(rnd, base) for _ in range(WORD_SAMPLE)]
-    one = bm.index[bm.identity]
-    cases = [(sol.eta(w), base.schutz.map[bm.elements[reduce(lambda i, t: bm.right[i][t], w, one)]], w)
-             for w in words]
-    _, const, single, coverage = _check_blocks(sol, ell, cases, {eta for eta, _, _ in cases},
-                                               f"sampled {len(cases)} words", lambda w: w)
-    rough = next((w for eta, _, w in cases if eta not in const), None)
-    identification = Check("ideal-identification", PASS if rough is None else FAIL,
-                           f"sampled {len(cases)} words; enumeration capped" if rough is None
-                           else f"eta({rough}) is not constant")
-    return _check_block_projection(sol), single, coverage, identification
+def _check_on_orbits(sol: EmbeddingSolution, ell: int) -> tuple:
+    """(|M'|, checks) of a capped closure: the block and rho image checks,
+    exact from R' = e'M', L' = M'e', H' = {z in R' : z·e' = z} = e'M'e' and
+    <x~_1>, all walked here.  eta(w)·e' in L' is named w * e'.
+
+    single-column: L' is flat, e' in it, and flat matrices form an ideal (a
+    block of x·y is a block of x times one of y), so J' = M'e'M' is flat.
+    preimage-coverage: each l in L' holds the ell preimages of M_l, the
+    image of its first block; then so does each v = l·r of J' = L'·R', as
+    P -> P·B, for B the block of r in l's column, carries them onto those
+    of M_l·M_r = M_v (h -> h·s carries cosets of ker alpha_hat to cosets).
+    ideal-identification: the flat part of M' is its minimal ideal J', of
+    |R'|·|L'|/|H'| elements, and M' = J' ⊔ <x~_1>:
+    - e' is the only idempotent of H', so the finite monoid e'M'e' is a
+      group, and e' is the anchor, a product of generators, so e' lies in
+      J' (Howie, 1995, ch. 3), which is M'e'M' = L'·R';
+    - each generator a but x~_1 is flat and a = (a·e')·(e'·a·e')^-1·(e'·a),
+      in L'·H'·R' = J', so M' = J' ∪ <x~_1>;
+    - no power of x~_1 is flat, while J' is, so the union is disjoint;
+    - ``sol.group`` is exactly H'; a missing or extra element is named.
+    rho-ideal-image: rho is onto M (block-projection) and rho(e') = f, which
+    :func:`prepare_base` puts in K(M), so rho(J') = rho(M'e'M') = MfM =
+    K(M); failed premises are named.
+    rho-subgroup-image: rho(H') = H_f, element by element."""
+    mul, e, base = sol.block_mul, sol.e_prime, sol.problem.base
+    right = closure([e], sol.raw, mul)[1]
+    group = [z for z in right if mul(z, e) == z]
+    left = closure([e], sol.raw, lambda z, a: mul(a, z))[1]
+    powers = list(closure([_block_identity(sol.problem, sol.p)], sol.raw[:1], mul)[1])
+    size = len(right) * len(left) // len(group) if group else 0
+
+    def word(z):
+        w = ()
+        while left[z] is not None:
+            z, gi = left[z]
+            w += (gi,)
+        return f"{w} * e'"
+
+    def ideal_fault():
+        idempotents = [z for z in group if mul(z, z) == z]
+        if idempotents != [e]:
+            return f"H' holds {len(idempotents)} idempotents, not e' alone"
+        if e != _anchor(sol.problem, sol.p, sol.raw, mul):
+            return "e' is not omega(omega(x~_1) eta(w) omega(x~_2))"
+        for gi, a in enumerate(sol.raw[1:], 1):
+            ae = mul(a, e)  # z·a·e' = z·(e'·a·e') for z in H'
+            inverse = next(z for z in group if mul(z, ae) == e)
+            if not _flat(a) or mul(mul(ae, inverse), mul(e, a)) != a:
+                return f"tilde_x[{gi}] does not factor through H'"
+        k = next((k for k, z in enumerate(powers) if _flat(z)), None)
+        missing = [z for z in group if z not in sol.group.index]
+        extra = [z for z in sol.group.elements if z not in group]
+        return (f"tilde_x[0]^{k} is flat" if k is not None
+                else f"G' misses {short_str(missing[0])} of H'" if missing
+                else f"G' holds {short_str(extra[0])} outside H'" if extra else "")
+
+    cases = [(z, _alphabar(sol.problem.alpha_hat, z.data[0][1]), z) for z in left]
+    why = ideal_fault()
+    checks = [_check_block_projection(sol),
+              *_check_blocks(sol, ell, cases, left, f"{len(left)} elements of L'", word)[2:],
+              Check("ideal-identification", FAIL if why else PASS, why or f"|J'| = {size}")]
+    lacking = [c.name for c in (checks[0], checks[3]) if c.status != PASS]
+    if sol.rho_of(e) != base.f:
+        lacking.append("rho(e') = f")
+    image = [sol.rho_of(z) for z in group]
+    odd = [u for u in image if u not in base.group.index] or [k for k in base.group.elements if k not in image]
+    differ = f"rho(H') and H_f differ at {odd[0] and short_str(odd[0])}" if odd else ""
+    checks.append(Check("rho-ideal-image", FAIL if lacking else PASS,
+                        f"needs {', '.join(lacking)}" if lacking else "rho(M'e'M') = MfM = K(M)"))
+    checks.append(Check("rho-subgroup-image", FAIL if differ else PASS, differ or f"|H'| = {len(group)}"))
+    return size + len(powers), checks
 
 
 def _check_rho(sol: EmbeddingSolution) -> Check:
@@ -804,7 +810,7 @@ def _check_rho(sol: EmbeddingSolution) -> Check:
     edges give rho(x·y) = rho(x)·g_a1...g_ak, and at x = 1 that product is
     rho(y), so rho is multiplicative.  Its image then holds 1 and is
     closed under every generator, so rho is onto M.  A capped closure has
-    no edges to check, and rho is read off the generators' first blocks."""
+    no edges: rho_of is rho by block-projection's lemma, checked on them."""
     m = sol.mprime
     bm = sol.problem.base.monoid
     rho = sol.rho_map.get if m is not None else sol.rho_of
@@ -855,10 +861,14 @@ def _check_prime_bound(p: int, m: int, ell: int) -> Check:
     return Check("prime-bound", PASS, f"p = {p} > max(m, ell) = {bound}")
 
 
-def _check_kernel_coverage(sol: EmbeddingSolution, kernel, sweep) -> Check:
-    """The cycler's sweep stays in G' and its theta values cover ker alpha_hat."""
-    if sweep is None:
+def _check_kernel_coverage(sol: EmbeddingSolution, kernel, m: int, r: Optional[int]) -> Check:
+    """The sweep e'·c^j·e', j < p, of the cycler c = x~_1^(m·r) stays in G' and covers ker alpha_hat."""
+    if r is None:
         return Check("kernel-coverage", FAIL, f"no cycler: m has no inverse modulo p = {sol.p}")
+    mul, e = sol.block_mul, sol.e_prime
+    ident = _block_identity(sol.problem, sol.p)
+    cycler = _power(sol.raw[0], m * r, mul, ident)
+    sweep = [mul(mul(e, c), e) for c in accumulate(repeat(cycler, sol.p - 1), mul, initial=ident)]
     got = {s.data[0][1].data[0][1] for s in sweep}
     lack = next((x for x in kernel if x not in got), None)
     if lack is not None:
@@ -896,9 +906,8 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
     identification read every element's blocks once; kernel and section
     coverage, the theta isomorphism and alpha o theta = rho certify the
     group extension; and wherever rho passed its edge check, the minimal
-    ideal image checks of rho run last.  Capped mode checks rho and block
-    projection on the generators, runs the other block checks on sampled
-    words (``seed`` seeds them) and skips the checks that need M'.
+    ideal image checks of rho run last.  Capped mode walks the orbits e'M'
+    and M'e' instead (:func:`_check_on_orbits`).  ``seed`` is ignored.
     """
     prob = sol.problem
     base = prob.base
@@ -907,7 +916,13 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
     kernel = _kernel(prob)
     ell = len(kernel) ** base.b
     m_power = _lift_exponent(prob, sol.raw[0].data[0][1])
-    r, sweep = _kernel_sweep(prob, sol.raw, sol.e_prime, m_power, sol.p, mul)
+    r = pow(m_power, -1, sol.p) if gcd(m_power, sol.p) == 1 else None
+    full = sol.mprime is not None
+    if full:
+        size = len(sol.mprime.elements)
+        blocks = _check_blocks_enumerated(sol, ell)
+    else:
+        size, blocks = _check_on_orbits(sol, ell)
     report = ConstructionReport(
         "embed",
         params=[
@@ -916,10 +931,9 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
             ("subgroup", base.group.name),
             ("p", sol.p), ("nu", len(kernel)), ("ell", ell),
             ("m", m_power), ("r", "-" if r is None else r), ("mode", sol.mode),
-            ("size", len(sol.mprime.elements) if sol.mprime is not None else sol.capnote),
+            ("size", size),
         ],
     )
-    full = sol.mprime is not None
 
     report.add(_check_prime_bound(sol.p, m_power, ell))
     ok = mul(sol.e_prime, sol.e_prime) == sol.e_prime
@@ -933,10 +947,10 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
     rho_check = _check_rho(sol)
     report.add(rho_check)
 
-    for check in _check_blocks_enumerated(sol, ell) if full else _check_blocks_sampled(sol, ell, seed):
+    for check in blocks[:4]:
         report.add(check)
 
-    report.add(_check_kernel_coverage(sol, kernel, sweep))
+    report.add(_check_kernel_coverage(sol, kernel, m_power, r))
     report.add(_check_section(sol))
     report.add(_check_theta(sol))
 
@@ -947,11 +961,13 @@ def verify_embedding(sol: EmbeddingSolution, seed: int = 0) -> ConstructionRepor
             break
     report.add(Check("alpha-rho-compatible", PASS if not bad else FAIL, bad))
 
-    if full and rho_check.status == PASS:
+    if not full:
+        for check in blocks[4:]:
+            report.add(check)
+    elif rho_check.status == PASS:
         rho = MonoidHom(sol.mprime, base.monoid, sol.rho_map, check=False)  # edges checked
         report.extend(check_min_ideal_image(rho), prefix="rho-")
     else:
-        why = "rho breaks an edge of M'" if full else "needs the enumerated closure and a validated rho"
-        report.add(Check("rho-ideal-image", SKIPPED, why))
-        report.add(Check("rho-subgroup-image", SKIPPED, why))
+        for name in ("rho-ideal-image", "rho-subgroup-image"):
+            report.add(Check(name, SKIPPED, "rho breaks an edge of M'"))
     return report

@@ -50,26 +50,23 @@ class Definitions:
         self.homs = {}
         self.problems = {}
 
-    def resolve(self, name: str, builtin: bool = True):
-        """A declared group, monoid or hom, else a built-in group."""
-        for table in (self.groups, self.monoids, self.homs):
+    def resolve_container(self, name: str):
+        """A declared group or monoid, else a built-in group; never a hom."""
+        for table in (self.groups, self.monoids):
             if name in table:
                 return table[name]
-        if builtin:
-            return builtin_group(name)
-        raise UnknownObject(f"nothing declared under the name {name!r}")
-
-    def resolve_container(self, name: str):
-        """Like resolve, but never a hom; for element-bearing references."""
-        if name in self.groups:
-            return self.groups[name]
-        if name in self.monoids:
-            return self.monoids[name]
         return builtin_group(name)
 
 
 def _fail(lineno: int, col: int, message: str):
     raise ParseError(lineno, col, message)
+
+
+def _resolve(defs: Definitions, name: str, lineno: int):
+    try:
+        return defs.resolve_container(name)
+    except UnknownObject as ex:
+        _fail(lineno, 1, str(ex))
 
 
 def _parse_cycles(text: str, degree: int, lineno: int, col: int) -> Element:
@@ -266,10 +263,7 @@ def _parse_monoid(defs: Definitions, line: str, lineno: int):
     if len(head) == 6 and head[2] == "rowmono" and head[4] == "over":
         _, name, _, knum, _, gname = head
         k = _int(knum, lineno, 1, f"bad size {knum!r}")
-        try:
-            entry = defs.resolve_container(gname)
-        except UnknownObject as ex:
-            _fail(lineno, 1, str(ex))
+        entry = _resolve(defs, gname, lineno)
         gens = []
         for chunk, off in _split_top(payload):
             rows = chunk.split(";")
@@ -299,11 +293,8 @@ def _parse_hom(defs: Definitions, line: str, lineno: int):
     if len(head) != 6 or head[2] != "from" or head[4] != "to":
         _fail(lineno, 1, "hom declarations read: hom NAME from A to B: images")
     _, name, _, aname, _, bname = head
-    try:
-        source = defs.resolve_container(aname)
-        target = defs.resolve_container(bname)
-    except UnknownObject as ex:
-        _fail(lineno, 1, str(ex))
+    source = _resolve(defs, aname, lineno)
+    target = _resolve(defs, bname, lineno)
     images = []
     for chunk, off in _split_top(payload):
         images.append(_element_expr(chunk, target, lineno, pcol + off))
@@ -319,10 +310,7 @@ def _parse_problem(defs: Definitions, line: str, lineno: int):
     if len(words) != 6 or words[2] != "base" or words[4] != "alpha":
         _fail(lineno, 1, "problem declarations read: problem NAME base MNAME alpha HOMNAME")
     _, name, _, mname, _, hname = words
-    try:
-        base = defs.resolve_container(mname)
-    except UnknownObject as ex:
-        _fail(lineno, 1, str(ex))
+    base = _resolve(defs, mname, lineno)
     if hname not in defs.homs:
         _fail(lineno, 1, f"hom {hname!r} is not declared")
     _declare(defs, "problems", name, {"base": base, "alpha": defs.homs[hname]}, lineno)
@@ -354,7 +342,7 @@ def cover_as_lines(c):
     number = {e: i + 1 for i, e in enumerate(_numbered(c.group))}
     def fmt(mat):
         return "; ".join(f"{col + 1} #{number[v]}" for col, v in mat.data)
-    mname = _sanitize(c.monoid.name if c.monoid is not None else f"cover_{c.group.name}_{c.n}")
+    mname = _sanitize(f"cover_{c.group.name}_{c.n}")
     lines.append(
         f"monoid {mname} rowmono {c.n} over {gname}: {fmt(c.x)}, {fmt(c.y)}")
     return mname, lines

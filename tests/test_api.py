@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import eggbox
-from eggbox.constructions import CoverResult, EmbeddingSolution
+from eggbox.constructions import CoverResult, EmbeddingSolution, PreparedBase
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,7 +61,8 @@ def test_every_result_slot_has_a_reader():
     # read, is dead.  A read is a load on a value known to be the result, so
     # a same-named attribute of another object does not count
     makers = {EmbeddingSolution: ("solve_embedding", "assemble_embedding"),
-              CoverResult: ("build_idempotent_cover",)}
+              CoverResult: ("build_idempotent_cover",),
+              PreparedBase: ("prepare_base",)}
     for cls, names in makers.items():
         read = result_slot_reads(cls, names)
         assert sorted(slot for slot in cls.__slots__ if slot not in read) == [], cls.__name__

@@ -69,11 +69,17 @@ def test_cover_full_and_reload(capsys, tmp_path):
     assert t["max_subgroup"] == "C2"
 
 
-def test_cover_cheap_mode_cannot_be_written(capsys, tmp_path):
-    code, out, err = run(capsys, "cover", "S3", "11", "--mode", "cheap",
-                         "--out", str(tmp_path / "s3.defs"))
-    assert code == 2
-    assert "--mode full" in err
+def test_cover_cheap_mode_writes_the_full_mode_file(capsys, tmp_path):
+    # the file holds x, y and the group, which both modes build alike
+    for mode in ("cheap", "full"):
+        code, _, _ = run(capsys, "cover", "C2", "3", "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.defs"))
+        assert code == 0, mode
+    cheap = (tmp_path / "cheap.defs").read_bytes()
+    assert cheap == (tmp_path / "full.defs").read_bytes()
+    code, out, _ = run(capsys, "analyze", "cover_C2_3", "--defs", str(tmp_path / "cheap.defs"))
+    assert code == 0
+    assert trailer(out)["elements"] == "21"
 
 
 def test_cover_modulus_too_small(capsys):
@@ -116,6 +122,14 @@ def test_counts_below_one_are_rejected_at_parse_time(capsys, argv):
     assert err.startswith("eggbox: error: argument ") and f"'{argv[-1]}'" in err
     if argv[-2] == "--cap":
         assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an integer of at least 1" in err
+
+
+def test_embed_takes_no_seed(capsys):
+    # no capped check samples, so there is nothing to seed
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "E2", "--defs", str(DEFS_DIR / "doubled-swap.defs"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_cover_auto_falls_back_to_cheap(capsys):

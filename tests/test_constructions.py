@@ -1,5 +1,4 @@
 import copy
-import random
 from itertools import product
 
 import pytest
@@ -308,23 +307,25 @@ def doubled_swap():
 
 
 def test_prepare_base_quotients_unfaithful_base():
-    pb = prepare_base(unit_zero())
+    m = unit_zero()
+    pb = prepare_base(m)
     # the action on the singleton minimal ideal collapses everything
-    assert len(pb.monoid.elements) == 1
-    assert pb.original is not pb.monoid and pb.to_faithful is not None
+    assert len(m.elements) == 2 and len(pb.monoid.elements) == 1
+    assert pb.schutz.map[pb.f].data == ((0, pb.group.identity),)
     assert len(pb.group.elements) == 1
     assert pb.b == 1
     assert len(pb.word) == 2  # one slot per listed generator
 
 
 def test_prepare_base_keeps_faithful_base():
-    pb = prepare_base(doubled_swap())
-    assert pb.to_faithful is None and pb.original is pb.monoid
+    m = doubled_swap()
+    pb = prepare_base(m)
+    assert pb.monoid is m
     assert len(pb.monoid.elements) == 2
     assert len(pb.group.elements) == 2
     assert pb.b == 1
     # the anchored idempotent's matrix is the first-column identity
-    assert all(col == 0 and val == pb.group.identity for col, val in pb.m_f.data)
+    assert all(col == 0 and val == pb.group.identity for col, val in pb.schutz.map[pb.f].data)
 
 
 def test_prepare_base_needs_two_generators():
@@ -470,16 +471,15 @@ def test_capped_solve_degrades_gracefully():
     probs = embedding_problems()
     sol = solve_embedding(probs["E2"], cap=50)
     assert sol.mode == "capped"
-    assert sol.capnote
     assert sol.mprime is None
     report = verify_embedding(sol)
-    assert report.passed  # skipped checks are not failures
-    skipped = {c.name for c in report.checks if c.status == "skipped"}
-    assert "rho-ideal-image" in skipped
-    # the block checks that ran on sampled words say so
+    assert report.passed
+    assert all(c.status == "pass" for c in report.checks)
+    # the orbit checks read L' and J' off e'M' and M'e', and count M'
     names = {c.name: c for c in report.checks}
-    for name in ("single-column", "preimage-coverage"):
-        assert names[name].witness == "sampled 50 words", name
+    assert names["preimage-coverage"].witness == "20 elements of L'"
+    assert names["ideal-identification"].witness == "|J'| = 100"
+    assert dict(report.params)["size"] == 120
     with pytest.raises(CapExceeded):
         solve_embedding(probs["E2"], cap=50, require_full=True)
 
@@ -488,7 +488,7 @@ def test_the_solution_holds_no_parameter_the_verifier_derives():
     # corrupting n_elements, nu, m or r once passed every check; the slots
     # are gone, and the report shows the verifier's own values
     sol = solve_embedding(embedding_problems()["E2"])
-    assert len(EmbeddingSolution.__slots__) == 14
+    assert len(EmbeddingSolution.__slots__) == 13
     for slot in ("nu", "ell", "m", "r", "n_elements", "nbt", "sigma", "cycler"):
         with pytest.raises(AttributeError):
             setattr(sol, slot, 1)
@@ -550,8 +550,8 @@ def test_prime_bound_is_checked():
 
 
 def test_the_build_computes_each_quantity_once(monkeypatch):
-    # the kernel diagonals, sigma, the inner rule and m, once each; a capped
-    # assembly computes m once more, from the first generator, for its seeds
+    # the kernel diagonals, sigma, the inner rule and m, once each, in full
+    # and in capped mode
     prob = embedding_problems()["E2"]  # makes the inner rule
     calls = {}
     for name in ("canonical_section", "_kernel_diagonals", "_lift_exponent", "make_rowmono_mul"):
@@ -565,7 +565,115 @@ def test_the_build_computes_each_quantity_once(monkeypatch):
     assert calls == once
     calls.clear()
     assert solve_embedding(prob, cap=50).mode == "capped"
-    assert calls == dict(once, _lift_exponent=2)
+    assert calls == once
+
+
+def cover_base_problem(n=3):
+    """C4 ->> C2 over the C2 cover of modulus n; |M'| = 4,422 at n = 3."""
+    c2 = builtin_group("C2")
+    c4 = builtin_group("C4")
+    base = prepare_base(build_idempotent_cover(c2, n).monoid)
+    return EmbeddingProblem(MonoidHom.from_generator_images(c4, c2, [c2.generators[0]]), base)
+
+
+def test_capped_checks_agree_with_the_enumeration():
+    # one below |M'| the closure is capped: the orbit checks reach the
+    # full mode's verdicts, and the size they count is |M'|
+    probs = embedding_problems()
+    cases = [(probs[key], None) for key in ("E1", "E2", "E3")]
+    cases += [(probs["E2"], 7), (cover_base_problem(), None)]
+    sizes = []
+    for prob, p in cases:
+        full = solve_embedding(prob, p_override=p, require_full=True)
+        n = len(full.mprime)
+        capped = solve_embedding(prob, p_override=p, cap=n - 1)
+        assert capped.mode == "capped", prob
+        want, got = verify_embedding(full), verify_embedding(capped)
+        assert [(c.name, c.status) for c in got.checks] == [(c.name, c.status) for c in want.checks]
+        assert dict(got.params)["size"] == n, prob
+        sizes.append(n)
+    assert sizes == [21, 120, 12, 224, 4422]
+
+
+def test_capped_cover_base_at_n6_is_exact():
+    # |M'| = 647,220 from orbits of 1,608 elements each, with nothing sampled
+    report = verify_embedding(solve_embedding(cover_base_problem(6), cap=100))
+    assert all(c.status == "pass" for c in report.checks), report.text()
+    assert dict(report.params)["size"] == 647220
+
+
+def capped_names(sol):
+    report = verify_embedding(sol)
+    assert sol.mode == "capped" and not report.passed
+    failures = [c for c in report.checks if c.status == "fail"]
+    assert all(c.witness for c in failures)
+    return {c.name: c for c in report.checks}
+
+
+def test_capped_e2_mutation_is_detected():
+    probs = embedding_problems()
+    sol = solve_embedding(probs["E2"])
+    bad = assemble_embedding(probs["E2"], sol.p, corrupt_block_entry(sol, probs["E2"]), cap=100)
+    names = capped_names(bad)
+    # x~_2·e' in L' holds one of its two preimages, as the enumeration finds
+    v = bad.block_mul(bad.raw[1], bad.e_prime)
+    image = constructions._alphabar(bad.problem.alpha_hat, v.data[0][1])
+    assert enumerated_preimages_held(bad, v, image) == (1, 2)
+    assert (names["preimage-coverage"].status, names["preimage-coverage"].witness) == \
+        ("fail", "eta(w) holds 1 of the 2 preimages of M_w for w=(1,) * e'")
+
+
+def test_capped_ideal_identification_needs_e_prime_in_the_ideal():
+    probs = embedding_problems()
+    doctored = copy.copy(solve_embedding(probs["E2"], cap=50))
+    # the identity is idempotent, but e'M'e' is then all of M'
+    doctored.e_prime = constructions._block_identity(probs["E2"], doctored.p)
+    full = solve_embedding(probs["E2"], require_full=True)
+    idempotents = [v for v in full.mprime.elements if full.block_mul(v, v) == v]
+    check = capped_names(doctored)["ideal-identification"]
+    assert (check.status, check.witness) == ("fail", f"H' holds {len(idempotents)} idempotents, not e' alone")
+    # another idempotent of J' has a group e'M'e' too, but it is not the
+    # anchor that the verifier derives from the generators
+    doctored.e_prime = next(v for v in idempotents if v in full.ideal and v != full.e_prime)
+    check = capped_names(doctored)["ideal-identification"]
+    assert (check.status, check.witness) == ("fail", "e' is not omega(omega(x~_1) eta(w) omega(x~_2))")
+
+
+def test_capped_preimage_coverage_reads_every_element_of_l_prime():
+    # the second generator's block row 1 repeats row 0, dropping the kernel
+    # diagonal of g^2: every block still lies over M_g2, but e', the first
+    # element of L', holds one preimage of its image
+    probs = embedding_problems()
+    sol = solve_embedding(probs["E2"])
+    raw = list(sol.raw)
+    rows = list(raw[1].data)
+    rows[1] = rows[0]
+    raw[1] = row_monomial(rows)
+    n = len(assemble_embedding(probs["E2"], sol.p, raw).mprime)
+    bad = assemble_embedding(probs["E2"], sol.p, raw, cap=n - 1)
+    image = constructions._alphabar(bad.problem.alpha_hat, bad.e_prime.data[0][1])
+    assert enumerated_preimages_held(bad, bad.e_prime, image) == (1, 2)
+    names = capped_names(bad)
+    assert names["block-projection"].status == "pass"
+    assert (names["preimage-coverage"].status, names["preimage-coverage"].witness) == \
+        ("fail", "eta(w) holds 1 of the 2 preimages of M_w for w=() * e'")
+
+
+def test_capped_group_must_be_h_prime():
+    sol = solve_embedding(embedding_problems()["E2"], cap=50)
+    e, mul = sol.e_prime, sol.block_mul
+    square = next(z for z in sol.group.elements if z != e and mul(z, z) == e)
+    doctored = copy.copy(sol)
+    doctored.group = generate_monoid([square], mul, identity=e)
+    # H' is the H-class of e' in the enumerated M', and one of its two
+    # elements outside {e', square} is named
+    full = solve_embedding(embedding_problems()["E2"], require_full=True)
+    assert full.e_prime == e
+    h_prime = [z for z in full.mprime.elements if mul(mul(e, z), e) == z and z not in (e, square)]
+    check = capped_names(doctored)["ideal-identification"]
+    assert check.status == "fail"
+    assert check.witness in {f"G' misses {short_str(z)} of H'" for z in h_prime}
+    assert len(h_prime) == 2
 
 
 def test_mutation_is_detected():
@@ -610,15 +718,6 @@ def word_matrix(sol, w):
     for gi in w:
         mw = kmul(mw, base.matrices[gi])
     return mw
-
-
-def sampled_words(sol):
-    """The words ``verify_embedding`` samples at its default seed under a
-    cap, with M_w."""
-    rnd = random.Random(0)
-    for _ in range(constructions.WORD_SAMPLE):
-        w = constructions._sample_word(rnd, sol.problem.base)
-        yield w, word_matrix(sol, w)
 
 
 def witness_word(sol, v):
@@ -697,8 +796,7 @@ def with_element_replaced(sol, v, bad):
 
 def test_single_column_reads_every_element_of_the_ideal():
     sol = solve_embedding(embedding_problems()["E2"], require_full=True)
-    sampled = {sol.eta(w) for w, _ in sampled_words(sol)}
-    v = next(x for x in reversed(sol.ideal.elements) if x not in sampled)
+    v = sol.ideal.elements[-1]
     rows = list(v.data)
     col, blk = rows[0]
     rows[0] = ((col + 1) % sol.p, blk)
@@ -793,12 +891,7 @@ def test_theta_iso_checks_every_edge_of_a_capped_group():
         f"theta({short_str(g.elements[1])} * {short_str(g.generators[0])}) breaks multiplicativity"
 
 
-def test_full_mode_verification_samples_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("sampled in full mode")
-
-    monkeypatch.setattr(constructions, "_sample_word", refuse)
-    monkeypatch.setattr(constructions, "random", None)
+def test_full_mode_verification_samples_nothing():
     probs = embedding_problems()
     for key in sorted(probs):
         sol = copy.copy(solve_embedding(probs[key], require_full=True))

@@ -66,11 +66,13 @@ def test_hash_counts_table_rows():
 
 
 def test_resolution():
-    defs = parse_definitions("group T table 1: 1")
-    assert defs.resolve("T") is defs.groups["T"]
-    assert len(defs.resolve("C4").elements) == 4  # built-in fallback
+    defs = parse_definitions("group T table 2: 1 2; 2 1\nhom h from T to T: #2")
+    assert defs.resolve_container("T") is defs.groups["T"]
+    assert len(defs.resolve_container("C4").elements) == 4  # built-in fallback
+    # a hom is found only among the homs, never as a container
+    assert defs.homs["h"].source is defs.groups["T"]
     with pytest.raises(UnknownObject):
-        defs.resolve("T2", builtin=False)
+        defs.resolve_container("h")
     with pytest.raises(UnknownObject):
         defs.resolve_container("no-such-group")
 
@@ -158,3 +160,5 @@ def test_shipped_definition_files():
     e23 = load_definitions(str(DEFS_DIR / "doubled-swap.defs"))
     assert {"E2", "E3"} <= set(e23.problems)
     assert e23.homs["a"].is_surjective()
+    cover_base = load_definitions(str(DEFS_DIR / "cover-base.defs"))
+    assert len(cover_base.problems["P"]["base"].elements) == 21

@@ -30,6 +30,7 @@ CLI_RUNS = (
     "embed E2 --defs definitions/doubled-swap.defs",
     "embed E3 --defs definitions/doubled-swap.defs",
     "embed E2 --cap 50 --defs definitions/doubled-swap.defs",
+    "embed P --cap 1000 --defs definitions/cover-base.defs",
     "srank Q8 C2",
     "srank A5 A5",
 )
