@@ -25,6 +25,7 @@ from .constructions import (
     verify_embedding,
 )
 from .core import (
+    FiniteGroup,
     MonoidHom,
     SubSemigroup,
     direct_power,
@@ -36,7 +37,8 @@ from .elements import compose_transformations, row_monomial, transformation
 from .errors import CapExceeded
 from .green import check_min_ideal_image, idempotent_generated, is_simple, minimal_ideal
 from .groups import builtin_group
-from .oracles import green_counts_agree, naive_minimal_ideal_elements, naive_omega_power, naive_rank
+from .oracles import (enumerated_embedding_checks, green_counts_agree, naive_minimal_ideal_elements,
+                      naive_omega_power, naive_rank)
 from .report import FAIL, PASS, SKIPPED, Check, ConstructionReport
 from .srank import check_rank_monotone, r_s
 from .wreath import ConstantWreath, constant_wreath, psi, rlm
@@ -145,7 +147,7 @@ def criterion_3() -> ConstructionReport:
 
 
 def example_problems() -> Dict[str, EmbeddingProblem]:
-    """The three exhaustively-checked embedding problems.
+    """The three embedding problems that criterion 4 cross-checks.
 
     E1: base {1, 0}, alpha : C2 ->> 1.  E2: base C2 given by a doubled
     generator, alpha : C4 ->> C2.  E3: same base, alpha the identity on C2.
@@ -180,7 +182,9 @@ EXPECTED_SUBGROUP = {"E1": "C2", "E2": "C4", "E3": "C2"}
 
 
 def criterion_4() -> Tuple[ConstructionReport, Dict[str, EmbeddingSolution], Dict[str, EmbeddingProblem]]:
-    """Solve and exhaustively verify the three embedding examples."""
+    """Solve and verify the three embedding examples, and cross-check the
+    verifier, which reads the orbits of e', with the oracle that reads the
+    enumerated M'."""
     report = ConstructionReport("criterion-4", params=[("cap", EMBED_CAP)])
     probs = example_problems()
     sols = {}
@@ -189,23 +193,26 @@ def criterion_4() -> Tuple[ConstructionReport, Dict[str, EmbeddingSolution], Dic
         sols[key] = sol
         sub = verify_embedding(sol)
         report.extend(sub, prefix=f"{key}-")
-        report.add(
-            Check(
-                f"{key}-enumerated",
-                PASS if sol.mode == "full" else FAIL,
-                f"mode={sol.mode}, |M'|={len(sol.mprime.elements)}",
-            )
-        )
+        report.add(_enumerated_agreement(key, sol, sub))
         want = builtin_group(EXPECTED_SUBGROUP[key])
-        iso = is_isomorphic(sol.group, want)
-        report.add(
-            Check(
-                f"{key}-subgroup-type",
-                PASS if iso else FAIL,
-                f"|G'|={len(sol.group.elements)} expected {want.name}",
-            )
-        )
+        iso = is_isomorphic(FiniteGroup.from_monoid(sol.group), want)
+        report.add(Check(f"{key}-subgroup-type", PASS if iso else FAIL,
+                         f"|G'|={len(sol.group.elements)} expected {want.name}"))
     return report, sols, probs
+
+
+def _enumerated_agreement(key: str, sol: EmbeddingSolution, sub: ConstructionReport) -> Check:
+    """M' was enumerated, the oracle's statuses on it are the report's, and
+    the report's size is |M'|."""
+    if sol.mode != "full":
+        return Check(f"{key}-enumerated", FAIL, f"mode={sol.mode}")
+    status = {c.name: c.status for c in sub.checks}
+    oracle = enumerated_embedding_checks(sol)
+    differ = [c.name for c in oracle if status.get(c.name) != c.status]
+    size, n = dict(sub.params)["size"], len(sol.mprime.elements)
+    why = f"size={size}, |M'|={n}" if size != n else f"the oracle differs on {differ[0]}" if differ else ""
+    return Check(f"{key}-enumerated", FAIL if why else PASS,
+                 why or f"mode=full, |M'|={n}, {len(oracle)} checks agree with the oracle")
 
 
 def corrupt_block_entry(sol: EmbeddingSolution, prob: EmbeddingProblem):
@@ -247,12 +254,12 @@ def criterion_5(probs, sols) -> ConstructionReport:
 def criterion_6(embedded: ConstructionReport, covers) -> ConstructionReport:
     """Minimal ideals and their maximal subgroups map onto their images.
 
-    The rho image checks are read off criterion 4's reports, which run them
-    once rho has passed its edge check; one skipped there fails here."""
+    The rho image checks are read off criterion 4's reports, which derive
+    them from the orbits of e'."""
     report = ConstructionReport("criterion-6")
     for c in embedded.checks:
         if c.name.partition("-")[2] in ("rho-ideal-image", "rho-subgroup-image"):
-            report.add(c if c.status != SKIPPED else Check(c.name, FAIL, c.witness))
+            report.add(c)
     for name in COVER_GROUPS:
         c = covers[name]
         _, onto = rlm(c.monoid)
@@ -270,7 +277,7 @@ def criterion_7(wreaths, covers, sols) -> ConstructionReport:
     for name in COVER_GROUPS:
         simples.append((f"cover-{name}", covers[name].ideal))
     for key in sorted(sols):
-        simples.append((f"ideal-{key}", sols[key].ideal))
+        simples.append((f"ideal-{key}", minimal_ideal(sols[key].mprime)))
     for label, sub in simples:
         span = idempotent_generated(sub)
         ok = is_simple(span)

@@ -609,12 +609,12 @@ def product_group(groups, name: Optional[str] = None) -> FiniteGroup:
     return FiniteGroup.from_monoid(pm)
 
 
-def direct_power(g: FiniteGroup, k: int, name=None) -> FiniteGroup:
+def direct_power(g: FiniteGroup, k: int) -> FiniteGroup:
     if k == 0:
         ident = tuple_element(())
-        pm = generate_monoid([], make_tuple_mul(()), identity=ident, name=name or "1")
+        pm = generate_monoid([], make_tuple_mul(()), identity=ident, name="1")
         return FiniteGroup.from_monoid(pm)
-    return product_group([g] * k, name=name or f"{g.name}^{k}")
+    return product_group([g] * k, name=f"{g.name}^{k}")
 
 
 class SubSemigroup:

@@ -187,7 +187,7 @@ def _declare(defs: Definitions, kind: str, name: str, obj, lineno: int):
     getattr(defs, kind)[name] = obj
 
 
-def parse_definitions(text: str, name: str = "<defs>") -> Definitions:
+def parse_definitions(text: str) -> Definitions:
     defs = Definitions()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # whole-line comments only: '#' also prefixes element indices
@@ -210,8 +210,13 @@ def parse_definitions(text: str, name: str = "<defs>") -> Definitions:
 
 
 def load_definitions(path: str) -> Definitions:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_definitions(fh.read(), name=path)
+    """The definitions in a file; a :class:`ParseError` names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_definitions(fh.read())
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _parse_group(defs: Definitions, line: str, lineno: int):
@@ -327,9 +332,9 @@ def _sanitize(name: str) -> str:
     return out
 
 
-def group_as_lines(g, name: Optional[str] = None):
+def group_as_lines(g):
     """Declaration lines for a group, as a table whose row i is ``#i``."""
-    name = name or _sanitize(g.name)
+    name = _sanitize(g.name)
     order = [g.index[e] for e in _numbered(g)]
     row = {x: r + 1 for r, x in enumerate(order)}
     rows = [" ".join(str(row[g.table[x][y]]) for y in order) for x in order]

@@ -11,14 +11,16 @@ from __future__ import annotations
 from .core import (
     FiniteGroup,
     FiniteMonoid,
+    MonoidHom,
     SubSemigroup,
     closure,
     direct_power,
     is_isomorphic,
 )
-from .elements import Element
+from .elements import Element, row_monomial
 from .errors import InconsistentProduct, InternalInconsistency
-from .green import green_structure
+from .green import check_min_ideal_image, green_structure, minimal_ideal
+from .report import FAIL, PASS, Check
 from .srank import check_simple, quotient_group
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,67 @@ def naive_omega_power(m: FiniteMonoid, x: Element) -> Element:
     if len(idems) != 1:
         raise InconsistentProduct(f"{len(idems)} idempotent powers of {x!r}")
     return idems.pop()
+
+
+# ---------------------------------------------------------------------------
+# embeddings: the block and rho checks on every element of M'
+
+
+def enumerated_embedding_checks(sol) -> list:
+    """The checks :func:`eggbox.constructions.verify_embedding` reads off
+    the orbits of e', by the same names in the same order, read instead off
+    a full-mode solution's M' and ``rho_map``: rho on every edge of M';
+    every block of every v over M_rho(v); J', Green's minimal ideal, as the
+    flat part of M', holding e', each of its v with ell = nu^b distinct
+    blocks over M_rho(v); and :func:`eggbox.green.check_min_ideal_image`
+    on rho, failed unrun when rho breaks an edge."""
+    m, rho, base = sol.mprime, sol.rho_map, sol.problem.base
+    bm, schutz, ahat = base.monoid, base.schutz.map, sol.problem.alpha_hat.map
+    ell = sum(ahat[x] == base.group.identity for x in sol.problem.h.elements) ** base.b
+    member = minimal_ideal(m).member
+
+    def over(v, blk):
+        return row_monomial((c, ahat[x]) for c, x in blk.data) == schutz[rho[v]]
+
+    def flat(v):
+        return len({c for c, _ in v.data}) == 1 and len({c for _, blk in v.data for c, _ in blk.data}) == 1
+
+    def held(v):
+        return sum(over(v, blk) for blk in {blk for _, blk in v.data})
+
+    gi = next((gi for gi, t in enumerate(sol.raw) if rho.get(t) != bm.generators[gi]), None)
+    edge = next(((x, a) for x, row in enumerate(m.right) for a, j in enumerate(row)
+                 if rho[m.elements[j]] != bm.mul(rho[m.elements[x]], bm.generators[a])), None)
+    if gi is not None:
+        checks = [Check("rho-on-generators", FAIL, f"generator {gi}")]
+    elif edge is not None:
+        w, a = m.word(edge[0]), edge[1]
+        checks = [Check("rho-on-generators", FAIL, f"rho(eta({w}) * tilde_x[{a}]) is not rho(eta({w})) * g{a}")]
+    else:
+        checks = [Check("rho-on-generators", PASS, f"{len(m) * len(sol.raw)} edges of M'")]
+    x, row = next(((x, row) for x, v in enumerate(m.elements) for row, (_, blk) in enumerate(v.data)
+                   if not over(v, blk)), (None, None))
+    checks.append(Check("block-projection", PASS, f"{len(m)} elements x {sol.p} blocks") if x is None
+                  else Check("block-projection", FAIL,
+                             f"eta({m.word(x)}) block row {row} does not lie over M_w"))
+    scope = f"{len(member)} elements of J'"
+    x = next((x for x, v in enumerate(m.elements) if v in member and not (flat(v) and held(v) == ell)), None)
+    single, coverage = Check("single-column", PASS, scope), Check("preimage-coverage", PASS, scope)
+    if x is not None and not flat(m.elements[x]):
+        single = Check("single-column", FAIL, f"eta({m.word(x)}) has several columns")
+    elif x is not None:
+        coverage = Check("preimage-coverage", FAIL,
+                         f"eta(w) holds {held(m.elements[x])} of the {ell} preimages of M_w for w={m.word(x)}")
+    const = {v for v in m.elements if flat(v)}
+    why = (f"constant part {len(const)} vs ideal {len(member)}" if const != member
+           else "e' avoids J'" if sol.e_prime not in member else "")
+    checks += [single, coverage,
+               Check("ideal-identification", FAIL if why else PASS, why or f"|J'| = {len(member)}")]
+    if checks[0].status == FAIL:
+        return checks + [Check(name, FAIL, "rho breaks an edge of M'")
+                         for name in ("rho-ideal-image", "rho-subgroup-image")]
+    images = check_min_ideal_image(MonoidHom(m, bm, rho, check=False)).checks
+    return checks + [Check(f"rho-{c.name}", c.status, c.witness) for c in images]
 
 
 # ---------------------------------------------------------------------------

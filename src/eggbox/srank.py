@@ -26,7 +26,6 @@ small groups.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from .core import (
     DEFAULT_CAP,
@@ -191,7 +190,7 @@ def _cosets(g: FiniteGroup, member):
     return coset, [[coset[table[a][b]] for b in reps] for a in reps]
 
 
-def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
+def quotient_group(g: FiniteGroup, n):
     """(G/N, projection) for a normal subgroup given as an element set.
 
     Cosets and their table are read off G's Cayley table; the quotient is
@@ -210,7 +209,7 @@ def quotient_group(g: FiniteGroup, n, name: Optional[str] = None):
     if not is_normal(g, member):
         raise NotWellDefined("cannot quotient by a non-normal subgroup")
     coset, table = _cosets(g, {g.index[x] for x in member})
-    label = name or f"{g.name}/N{len(member)}"
+    label = f"{g.name}/N{len(member)}"
     mul = make_table_mul(table, label)
     mul.associative = True
     cosets = mul.carrier

@@ -78,7 +78,7 @@ def _constant_column_matrices(g: FiniteGroup, b: int):
     ]
 
 
-def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantWreath:
+def constant_wreath(g: FiniteGroup, points) -> ConstantWreath:
     """G ≀ (B, B̄) generated from |G|^(b−1) + b matrices.
 
     The generators are the maps f with f(0) = 1 at column 0 and the b
@@ -93,8 +93,8 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     """
     b = points if isinstance(points, int) else len(points)
     total = (len(g) ** b) * b + 1
-    if total > cap:
-        raise CapExceeded(cap, total)
+    if total > DEFAULT_CAP:
+        raise CapExceeded(DEFAULT_CAP, total)
     one = g.identity
     ident = identity_row_monomial(b, one)
     if b == 1:
@@ -102,7 +102,7 @@ def constant_wreath(g: FiniteGroup, points, cap: int = DEFAULT_CAP) -> ConstantW
     else:
         gens = [row_monomial([(0, one)] + [(0, fi) for fi in f]) for f in iter_product(g.elements, repeat=b - 1)]
         gens += [row_monomial([(k, one)] * b) for k in range(b)]
-    monoid = generate_monoid(gens, make_rowmono_mul(g.mul), cap=cap, identity=ident, name=f"{g.name}w{b}")
+    monoid = generate_monoid(gens, make_rowmono_mul(g.mul), identity=ident, name=f"{g.name}w{b}")
     listed = set(_constant_column_matrices(g, b))
     if set(monoid.elements) != listed | {ident}:
         raise InternalInconsistency("the generated constant wreath is not the listed set")

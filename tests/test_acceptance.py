@@ -62,11 +62,27 @@ def test_criterion_06_minimal_ideal_images(outcome, monkeypatch):
     report = next(r for r in outcome.reports if r.construction == "criterion-6")
     assert [c.name for c in report.checks if "-rho-" in c.name] == [
         f"{key}-rho-{what}-image" for key in ("E1", "E2", "E3") for what in ("ideal", "subgroup")]
-    # an image check that criterion 4 skipped, rho having broken an edge, fails here
+    # an image check that failed in criterion 4 fails here
     embedded = ConstructionReport("criterion-4")
-    embedded.add(Check("E2-rho-ideal-image", "skipped", "rho breaks an edge of M'"))
+    embedded.add(Check("E2-rho-ideal-image", "fail", "needs rho(e') = f"))
     monkeypatch.setattr(acceptance, "COVER_GROUPS", ())
     assert not acceptance.criterion_6(embedded, {}).passed
+
+
+def test_criterion_04_fails_when_the_oracle_disagrees(monkeypatch):
+    # one false failure from the oracle that reads the enumerated M' fails
+    # criterion 4, named by the check it disagrees on
+    oracle = acceptance.enumerated_embedding_checks
+
+    def doctored(sol):
+        checks = oracle(sol)
+        checks[1] = Check(checks[1].name, "fail", "doctored")
+        return checks
+
+    monkeypatch.setattr(acceptance, "enumerated_embedding_checks", doctored)
+    report, _, _ = acceptance.criterion_4()
+    assert {c.name: c.witness for c in report.checks if c.status == "fail"} == \
+        {f"{key}-enumerated": "the oracle differs on block-projection" for key in ("E1", "E2", "E3")}
 
 
 def test_criterion_07_idempotent_generated_simple(outcome):

@@ -264,3 +264,11 @@ def test_analyze_rejects_a_non_associative_table_group(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "associativity fails" in err
+
+
+def test_a_parse_error_names_its_file(capsys, tmp_path):
+    path = tmp_path / "bad.defs"
+    path.write_text("group G table 2: 1 2; 2 1\nmonoid\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "G", "--defs", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}: line 2, column 7: missing ':' in declaration"]

@@ -18,7 +18,7 @@ from eggbox.constructions import (
     verify_embedding,
 )
 from eggbox.acceptance import COVER_GROUPS, MUTATION_CAP, corrupt_block_entry
-from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid, is_isomorphic
+from eggbox.core import FiniteGroup, FiniteMonoid, MonoidHom, closure, generate_monoid, is_isomorphic
 from eggbox.elements import (
     compose_transformations,
     identity_row_monomial,
@@ -35,8 +35,9 @@ from eggbox.errors import (
     PrimeBoundViolated,
     TooFewGenerators,
 )
-from eggbox.green import idempotent_generated, rees_coordinates
+from eggbox.green import idempotent_generated, minimal_ideal, rees_coordinates
 from eggbox.groups import builtin_group
+from eggbox.oracles import enumerated_embedding_checks
 from eggbox.wreath import constant_wreath
 
 
@@ -253,7 +254,7 @@ def sandwich_fixtures():
             yield f"wreath-{gname}-b{b}", rees_coordinates(w.monoid, w.simple, w.simple.idempotents[0])
     for key, prob in embedding_problems().items():
         sol = solve_embedding(prob, require_full=True)
-        yield f"ideal-{key}", rees_coordinates(sol.mprime, sol.ideal, sol.e_prime)
+        yield f"ideal-{key}", rees_coordinates(sol.mprime, minimal_ideal(sol.mprime), sol.e_prime)
 
 
 def test_sandwich_span_is_the_idempotent_span():
@@ -358,7 +359,8 @@ def embedding_problems():
 
 def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
     # the solve reads rho off the base and makes no image; the verifier's
-    # block pass makes each block's entrywise image of alpha_hat once
+    # block pass over L' = M'e' makes each block's entrywise image of
+    # alpha_hat once
     c2 = builtin_group("C2")
     c4 = builtin_group("C4")
     base = prepare_base(build_idempotent_cover(c2, 3).monoid)
@@ -373,19 +375,21 @@ def test_alphabar_is_made_once_per_distinct_block(monkeypatch):
     monkeypatch.setattr(constructions, "_alphabar", counted)
     sol = solve_embedding(prob, require_full=True)
     assert made == {}
-    checks = constructions._check_blocks_enumerated(sol, ell_of(sol))
+    mul = sol.block_mul
+    left = closure([sol.e_prime], sol.raw, lambda z, a: mul(a, z))[1]
+    checks = constructions._check_blocks(sol, ell_of(sol), left, str)
     assert all(c.status == "pass" for c in checks)
-    blocks = {blk for v in sol.mprime.elements for _, blk in v.data}
+    blocks = {blk for z in left for _, blk in z.data}
     assert set(made) == blocks
     assert max(made.values()) == 1
-    assert len(sol.mprime) > 10 * len(blocks)
+    assert len(left) * sol.p > 10 * len(blocks)
 
 
 def test_embedding_over_a_cover_base_walks_few_words(monkeypatch):
-    # Green's structure of M' comes from its two Cayley graphs, its minimal
-    # ideal needs no idempotent sweep and the rho image checks go by H-class:
-    # the solve plus verify made 4,410 word walks when each element of J'
-    # was squared and each target subgroup was built
+    # the solve builds no Green's structure of M' and the verifier reads the
+    # orbits of e' with block products: the solve plus verify made 4,410
+    # word walks when each element of J' was squared and each target
+    # subgroup was built, and 9 while the verifier read the enumerated M'
     c2 = builtin_group("C2")
     c4 = builtin_group("C4")
     base = prepare_base(build_idempotent_cover(c2, 3).monoid)
@@ -401,7 +405,7 @@ def test_embedding_over_a_cover_base_walks_few_words(monkeypatch):
     sol = solve_embedding(prob, require_full=True)
     assert len(sol.mprime) == 4422
     assert verify_embedding(sol).passed
-    assert walks[0] <= 20
+    assert walks[0] == 0
 
 
 def test_problem_validation():
@@ -432,7 +436,7 @@ def test_embedding_solutions_match_frozen_parameters():
     for key, (p, nu, ell, m, size, gname) in FROZEN.items():
         sol = solve_embedding(probs[key], require_full=True)
         assert len(sol.mprime.elements) == size, key
-        assert is_isomorphic(sol.group, builtin_group(gname)) is not None, key
+        assert is_isomorphic(FiniteGroup.from_monoid(sol.group), builtin_group(gname)) is not None, key
         report = verify_embedding(sol)
         params = dict(report.params)
         assert (params["p"], params["nu"], params["ell"], params["m"]) == (p, nu, ell, m), key
@@ -488,7 +492,7 @@ def test_the_solution_holds_no_parameter_the_verifier_derives():
     # corrupting n_elements, nu, m or r once passed every check; the slots
     # are gone, and the report shows the verifier's own values
     sol = solve_embedding(embedding_problems()["E2"])
-    assert len(EmbeddingSolution.__slots__) == 13
+    assert len(EmbeddingSolution.__slots__) == 12
     for slot in ("nu", "ell", "m", "r", "n_elements", "nbt", "sigma", "cycler"):
         with pytest.raises(AttributeError):
             setattr(sol, slot, 1)
@@ -577,8 +581,9 @@ def cover_base_problem(n=3):
 
 
 def test_capped_checks_agree_with_the_enumeration():
-    # one below |M'| the closure is capped: the orbit checks reach the
-    # full mode's verdicts, and the size they count is |M'|
+    # the verifier reads the orbits of e', whether M' was enumerated or the
+    # closure was capped one below |M'|; the oracle reads the enumerated M'.
+    # They reach the same verdicts, and the size the verifier counts is |M'|
     probs = embedding_problems()
     cases = [(probs[key], None) for key in ("E1", "E2", "E3")]
     cases += [(probs["E2"], 7), (cover_base_problem(), None)]
@@ -588,11 +593,27 @@ def test_capped_checks_agree_with_the_enumeration():
         n = len(full.mprime)
         capped = solve_embedding(prob, p_override=p, cap=n - 1)
         assert capped.mode == "capped", prob
-        want, got = verify_embedding(full), verify_embedding(capped)
-        assert [(c.name, c.status) for c in got.checks] == [(c.name, c.status) for c in want.checks]
-        assert dict(got.params)["size"] == n, prob
+        oracle = {c.name: c.status for c in enumerated_embedding_checks(full)}
+        assert len(oracle) == 7
+        for sol in (full, capped):
+            report = verify_embedding(sol)
+            assert {c.name: c.status for c in report.checks if c.name in oracle} == oracle, prob
+            assert dict(report.params)["size"] == n, prob
         sizes.append(n)
     assert sizes == [21, 120, 12, 224, 4422]
+
+
+def test_no_embedding_check_is_skipped():
+    probs = embedding_problems()
+    sols = [solve_embedding(probs[key]) for key in sorted(probs)]
+    e2 = sols[1]
+    sols.append(solve_embedding(probs["E2"], p_override=7))
+    sols += [assemble_embedding(probs["E2"], e2.p, corrupt_block_entry(e2, probs["E2"]), cap=cap)
+             for cap in (100, MUTATION_CAP)]
+    sols.append(solve_embedding(cover_base_problem()))
+    assert [s.mode for s in sols] == ["full"] * 4 + ["capped", "full", "full"]
+    for s in sols:
+        assert [c.name for c in verify_embedding(s).checks if c.status == "skipped"] == [], s
 
 
 def test_capped_cover_base_at_n6_is_exact():
@@ -634,7 +655,7 @@ def test_capped_ideal_identification_needs_e_prime_in_the_ideal():
     assert (check.status, check.witness) == ("fail", f"H' holds {len(idempotents)} idempotents, not e' alone")
     # another idempotent of J' has a group e'M'e' too, but it is not the
     # anchor that the verifier derives from the generators
-    doctored.e_prime = next(v for v in idempotents if v in full.ideal and v != full.e_prime)
+    doctored.e_prime = next(v for v in idempotents if v in minimal_ideal(full.mprime) and v != full.e_prime)
     check = capped_names(doctored)["ideal-identification"]
     assert (check.status, check.witness) == ("fail", "e' is not omega(omega(x~_1) eta(w) omega(x~_2))")
 
@@ -728,7 +749,7 @@ def witness_word(sol, v):
 def ideal_cases(sol):
     """(v, M_v, w) for every element v of J' and its witness word w."""
     return [(v, word_matrix(sol, witness_word(sol, v)), witness_word(sol, v))
-            for v in sol.ideal.elements]
+            for v in minimal_ideal(sol.mprime).elements]
 
 
 def e2_mutation(probs):
@@ -738,6 +759,8 @@ def e2_mutation(probs):
 
 
 def test_counted_coverage_agrees_with_the_enumeration():
+    # the oracle counts each element's distinct blocks over M_rho(v); the
+    # candidates of M_v enumerated here give the same verdict and witness
     probs = embedding_problems()
     sols = {key: solve_embedding(probs[key], require_full=True) for key in sorted(probs)}
     sols["E2-mutation"] = e2_mutation(probs)
@@ -745,24 +768,23 @@ def test_counted_coverage_agrees_with_the_enumeration():
     for key, sol in sols.items():
         assert sol.mode == "full", key
         cases = ideal_cases(sol)
-        # the verifier's cases are all of M', with M_v read off rho, not a
-        # product fold; those in J' carry the coverage check
+        # M_v read off rho is the product fold along v's witness word
         schutz = sol.problem.base.schutz.map
         assert [(v, schutz[sol.rho_map[v]], w) for v, _, w in cases] == cases, key
-        ell = ell_of(sol)
-        single = constructions._check_blocks_enumerated(sol, ell)[1]
-        assert single.witness == f"{len(cases)} elements of J'", key
-        for case in cases:
-            v, mv, w = case
+        names = {c.name: c for c in enumerated_embedding_checks(sol)}
+        assert names["single-column"].witness == f"{len(cases)} elements of J'", key
+        lacking = []
+        for v, mv, w in cases:
             held, total = enumerated_preimages_held(sol, v, mv)
-            assert total == ell, key
-            _, _, _, coverage = constructions._check_blocks(sol, ell, [case], {v}, "", lambda w: w)
+            assert total == ell_of(sol), key
             if held < total:
-                short.add(key)
-                assert coverage.witness == \
-                    f"eta(w) holds {held} of the {total} preimages of M_w for w={w}", (key, w)
-            else:
-                assert coverage.status == "pass", (key, w)
+                lacking.append(f"eta(w) holds {held} of the {total} preimages of M_w for w={w}")
+        coverage = names["preimage-coverage"]
+        if lacking:
+            short.add(key)
+            assert (coverage.status, coverage.witness) == ("fail", lacking[0]), key
+        else:
+            assert coverage.status == "pass", key
     assert short == {"E2-mutation"}
 
 
@@ -770,7 +792,9 @@ def test_e2_mutation_fails_counted_coverage():
     bad = e2_mutation(embedding_problems())
     names = {ch.name: ch for ch in verify_embedding(bad).checks}
     assert names["preimage-coverage"].status == "fail"
-    # the first element of J' that lacks a preimage, named by its witness word
+    # the oracle names the first element of J' that lacks a preimage by its
+    # witness word
+    names = {ch.name: ch for ch in enumerated_embedding_checks(bad)}
     held, w = next((held, w) for v, mv, w in ideal_cases(bad)
                    for held, _ in [enumerated_preimages_held(bad, v, mv)] if held < 2)
     assert names["preimage-coverage"].witness == \
@@ -778,7 +802,7 @@ def test_e2_mutation_fails_counted_coverage():
 
 
 def with_element_replaced(sol, v, bad):
-    """A copy of a full-mode solution whose M', J' and rho hold ``bad`` in
+    """A copy of a full-mode solution whose M' and rho hold ``bad`` in
     place of v, under v's witness word and rho image."""
     m = sol.mprime
 
@@ -789,19 +813,20 @@ def with_element_replaced(sol, v, bad):
     doctored.mprime = FiniteMonoid(m.name, map(swap, m.elements), m.mul, m.identity,
                                    m.generators, m.prefix, m.last, m.first, m.suffix,
                                    m.right, m.left)
-    doctored.ideal = SubSemigroup(doctored.mprime, map(swap, sol.ideal.elements))
     doctored.rho_map = {swap(x): u for x, u in sol.rho_map.items()}
     return doctored
 
 
 def test_single_column_reads_every_element_of_the_ideal():
     sol = solve_embedding(embedding_problems()["E2"], require_full=True)
-    v = sol.ideal.elements[-1]
+    v = minimal_ideal(sol.mprime).elements[-1]
     rows = list(v.data)
     col, blk = rows[0]
     rows[0] = ((col + 1) % sol.p, blk)
     doctored = with_element_replaced(sol, v, row_monomial(rows))
-    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    # the verifier reads the orbits of e', not M'
+    assert verify_embedding(doctored).passed
+    names = {ch.name: ch for ch in enumerated_embedding_checks(doctored)}
     assert names["single-column"].status == "fail"
     assert names["single-column"].witness == f"eta({witness_word(sol, v)}) has several columns"
 
@@ -809,14 +834,16 @@ def test_single_column_reads_every_element_of_the_ideal():
 def test_block_projection_reads_every_element_of_m_prime():
     sol = solve_embedding(embedding_problems()["E2"], require_full=True)
     h = sol.problem.h
+    ideal = minimal_ideal(sol.mprime)
     v = next(x for x in reversed(sol.mprime.elements)
-             if x not in sol.ideal and x not in sol.raw)
+             if x not in ideal and x not in sol.raw)
     rows = list(v.data)
     col, blk = rows[0]
     bcol, bval = blk.data[0]
     rows[0] = (col, row_monomial([(bcol, h.mul(bval, h.generators[0]))] + list(blk.data[1:])))
     doctored = with_element_replaced(sol, v, row_monomial(rows))
-    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    assert verify_embedding(doctored).passed
+    names = {ch.name: ch for ch in enumerated_embedding_checks(doctored)}
     assert names["block-projection"].status == "fail"
     assert names["block-projection"].witness == \
         f"eta({witness_word(sol, v)}) block row 0 does not lie over M_w"
@@ -826,7 +853,7 @@ def test_ideal_identification_needs_e_prime_in_the_ideal():
     sol = solve_embedding(embedding_problems()["E2"], require_full=True)
     doctored = copy.copy(sol)
     doctored.e_prime = sol.mprime.identity  # idempotent, outside J'
-    names = {ch.name: ch for ch in verify_embedding(doctored).checks}
+    names = {ch.name: ch for ch in enumerated_embedding_checks(doctored)}
     check = names["ideal-identification"]
     assert (check.status, check.witness) == ("fail", "e' avoids J'")
 
@@ -840,15 +867,17 @@ def test_rho_is_checked_on_every_edge_of_m_prime():
     x, a = next((x, a) for x in range(len(m)) for a in range(len(m.generators))
                 if (x, a) not in tree)
     rho = sol.rho_map
+    minimal_ideal(m)  # J' of the true graph
     m.right[x][a] = next(j for j in range(len(m))
                          if rho[m.elements[j]] != rho[m.elements[m.right[x][a]]])
-    names = {ch.name: ch for ch in verify_embedding(sol).checks}
+    assert verify_embedding(sol).passed
+    names = {ch.name: ch for ch in enumerated_embedding_checks(sol)}
     w = m.word(x)
     assert names["rho-on-generators"].status == "fail"
     assert names["rho-on-generators"].witness == \
         f"rho(eta({w}) * tilde_x[{a}]) is not rho(eta({w})) * g{a}"
     for name in ("rho-ideal-image", "rho-subgroup-image"):
-        assert (names[name].status, names[name].witness) == ("skipped", "rho breaks an edge of M'")
+        assert (names[name].status, names[name].witness) == ("fail", "rho breaks an edge of M'")
 
 
 def test_solve_makes_no_base_product():
@@ -905,10 +934,25 @@ def test_full_mode_verification_samples_nothing():
         sol.block_mul = counted
         report = verify_embedding(sol)
         assert report.passed, key
+        # each of the A generators on every element of the orbits R' = e'M'
+        # and L' = M'e', x~_1 on each of its powers, z·e' for z in R' and
+        # z·z for z in H'; the sizes are read off the report, as |L'|, |H'|
+        # and |J'| = |R'|·|L'|/|H'|, with |J'| + |<x~_1>| = |M'|
+        names = {c.name: c.witness for c in report.checks}
+        left = int(names["single-column"].split()[0])
+        group = int(names["rho-subgroup-image"].split()[-1])
+        ideal = int(names["ideal-identification"].split()[-1])
+        right, powers = ideal * group // left, dict(report.params)["size"] - ideal
+        orbits = len(sol.raw) * (right + left) + powers + right + group
+        # the anchor derived again, and for each generator a but x~_1 the
+        # product a·e', the scan of H' for its inverse and the three products
+        # of a's factorization through H'
+        anchor, scan = {"E1": (13, 1), "E2": (51, 4), "E3": (19, 2)}[key]
+        factors = sum(1 + scan + 3 for _ in sol.raw[1:])
         # the cycler x~_1^(m·r) by squaring, its p - 1 further powers, e'·e'
-        # and two products per step of the kernel sweep; the block checks
-        # and ideal identification read J' and make none.  m and p are the
+        # and two products per step of the kernel sweep; m and p are the
         # frozen ones, not the report's
         p, _, _, m, _, _ = FROZEN[key]
         k = m * pow(m, -1, p)
-        assert products[0] == k.bit_length() + bin(k).count("1") + 3 * p, key
+        sweep = k.bit_length() + bin(k).count("1") + 3 * p
+        assert products[0] == orbits + anchor + factors + sweep, key
