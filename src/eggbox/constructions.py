@@ -231,25 +231,27 @@ def _check_witness_products(c: CoverResult):
 def _check_idempotent_closure(c: CoverResult) -> Check:
     """<E(J)> = J through the three-idempotent factorization.
 
-    Row units (a, 1, 0) and column units (0, 1, b) are idempotent by the
-    sandwich normalization; the maximal subgroup cell at y is exhausted by
-    the witness products, which are products of idempotents; and every
-    element of J factors as row unit * cell element * column unit, which
-    is checked for every element: 2|J| word walks in the cover.
+    Row units u_a = (a, 1, 0) and column units v_b = (0, 1, b) are
+    idempotent by the sandwich normalization; the maximal subgroup cell at
+    y is exhausted by the witness products, which are products of
+    idempotents; and every element (a, g, b) of J is checked to factor as
+    u_a·(g·v_b).  With each v_b in R_y = yM and x·y = x for each seed x, a
+    row unit or a cell element, x·z for all z in R_y follows along a
+    spanning tree of R_y's right edges, x·(z′·t) = (x·z′)·t.
     """
     rc = c.rees
     m = c.monoid
     at = {k: m.index[x] for k, x in rc.point.items()}
     k = rc.group
     one = k.identity
-    for a in range(rc.n_a):
-        u = at[(a, one, 0)]
+    right, y = m.right, m.index[c.y]
+    levels, parent = closure([y], range(len(m.generators)), lambda z, t: right[z][t], key=None)
+    sides = [("row", a, at[(a, one, 0)]) for a in range(rc.n_a)]
+    for side, i, u in sides + [("column", b, at[(0, one, b)]) for b in range(rc.n_b)]:
         if m.times(u, u) != u:
-            return Check("idempotent-closure", FAIL, f"row unit {a} is not idempotent")
-    for b in range(rc.n_b):
-        u = at[(0, one, b)]
-        if m.times(u, u) != u:
-            return Check("idempotent-closure", FAIL, f"column unit {b} is not idempotent")
+            return Check("idempotent-closure", FAIL, f"{side} unit {i} is not idempotent")
+        if side == "column" and u not in parent:
+            return Check("idempotent-closure", FAIL, f"column unit {short_str(m.elements[u])} is not in R_y")
     cell = {c.y}
     for factors in cover_idempotent_witnesses(c).values():
         prod = m.index[factors[0]]
@@ -259,9 +261,20 @@ def _check_idempotent_closure(c: CoverResult) -> Check:
     if cell != set(k.elements):
         return Check("idempotent-closure", FAIL,
                      "witness products do not exhaust the cell at y")
+
+    tree = [(z, parent[z]) for level in levels[1:] for z in level]  # z = right[p][t] in R_y
+    rows = {}
+    for key in [(a, one, 0) for a in range(rc.n_a)] + [(0, g, 0) for g in k.elements]:
+        xz = rows[key] = {y: at[key]}
+        if m.times(at[key], y) != at[key]:
+            return Check("idempotent-closure", FAIL, f"{short_str(rc.point[key])} is not fixed by y on the right")
+        for z, (p, t) in tree:
+            xz[z] = right[xz[p]][t]
+    units = [rows[(a, one, 0)] for a in range(rc.n_a)]
+    cells, cols = {g: rows[(0, g, 0)] for g in k.elements}, [at[(0, one, b)] for b in range(rc.n_b)]
     for u in c.ideal.elements:
         a, g, b = rc.coord[u]
-        if m.times(m.times(at[(a, one, 0)], at[(0, g, 0)]), at[(0, one, b)]) != m.index[u]:
+        if units[a].get(cells[g][cols[b]]) != m.index[u]:
             return Check("idempotent-closure", FAIL,
                          f"{short_str(u)} is not its own three-idempotent product")
     return Check("idempotent-closure", PASS, "factorization exhaustive")

@@ -60,8 +60,8 @@ class FiniteMonoid:
     spells a word out.  :func:`generate_monoid` hands in both graphs, the
     four pointer lists and its index, with the product associative on M; a
     monoid built without the graphs multiplies the right one out here and
-    Green's classification (:func:`~eggbox.green.green_structure`) the left
-    one into ``left``.
+    the left one on first use (:meth:`left_graph`).  The translations
+    y -> x·y and y -> y·x are read off the graphs in |M| lookups each.
     """
 
     __slots__ = (
@@ -79,6 +79,7 @@ class FiniteMonoid:
         "left",
         "_green",
         "_ideal",
+        "__weakref__",
     )
 
     def __init__(self, name, elements, mul, identity, generators, prefix, last, first, suffix,
@@ -115,6 +116,26 @@ class FiniteMonoid:
             i = right[i][first[j]]
             j = suffix[j]
         return i
+
+    def left_graph(self) -> list:
+        """``left``, multiplied out on first use if the monoid came without it."""
+        if self.left is None:
+            self.left = [[self.index[self.mul(a, x)] for a in self.generators] for x in self.elements]
+        return self.left
+
+    def left_translation(self, i: int) -> list:
+        """x·y for the i-th x and every y, by index, along ``prefix``: x·(y′·a) = (x·y′)·a."""
+        right, xy = self.right, []
+        for p, t in zip(self.prefix, self.last):
+            xy.append(i if p is None else right[xy[p]][t])
+        return xy
+
+    def right_translation(self, i: int) -> list:
+        """y·x for the i-th x and every y, by index, along ``suffix``: (b·s)·x = b·(s·x)."""
+        left, yx = self.left_graph(), []
+        for s, f in zip(self.suffix, self.first):
+            yx.append(i if s is None else left[yx[s]][f])
+        return yx
 
     def word(self, i: int) -> tuple:
         """The witness word of the i-th element, as a tuple of generator
@@ -245,7 +266,8 @@ def generate_monoid(
     edge x·a = f·r is a left edge of r; otherwise it costs a product, the
     only kind that can find a new element.  A level's left edges then
     follow with no product, a·x = (a·p)·b.  The cost is one product per
-    right edge not so deduced: about |M| for a wreath or a cover.
+    right edge not so deduced: about |M| for a wreath or a cover, made
+    through the rule's translations by the seeds if it has ``right_by``.
 
     The identity is inferred for transformation seeds and must be supplied
     for the other element kinds.  Raises :class:`CapExceeded` when the
@@ -275,6 +297,7 @@ def generate_monoid(
     # word is (gi,) for its first gi
     _check_identity(product_rule, identity, [identity] + seeds)
 
+    by_seed = [product_rule.right_by(a) for a in seeds] if hasattr(product_rule, "right_by") else None
     elements, index, right, left = [], {}, [], []
     prefix, last, first, suffix = [], [], [], []  # x = p·b = f·s, with first letter f and suffix s
     fresh, pending = {identity: None}, []  # the next level, each found as (p, b, s)
@@ -308,7 +331,7 @@ def generate_monoid(
                 if r < start:  # x·a = f·(s·a), a left edge of an earlier level
                     row.append(left[r][f])
                     continue
-                y = product_rule(elements[x], a)
+                y = by_seed[t](elements[x]) if by_seed else product_rule(elements[x], a)
                 if not isinstance(y, Element) or not same_shape(identity, y):
                     raise InconsistentProduct(f"product of {elements[x]!r} and {a!r} is {y!r}")
                 j = index.get(y)
@@ -346,7 +369,8 @@ class FiniteGroup(FiniteMonoid):
 
     def __init__(self, monoid: FiniteMonoid, table, inverse):
         for slot in FiniteMonoid.__slots__:
-            setattr(self, slot, getattr(monoid, slot))
+            if slot != "__weakref__":
+                setattr(self, slot, getattr(monoid, slot))
         self.table = table
         self._inverse = inverse
         self._orders = _element_orders(table)
@@ -625,12 +649,12 @@ class SubSemigroup:
     closure kept it, maps the index in M of each element x to those of x·a
     for its generators a."""
 
-    __slots__ = ("monoid", "elements", "member", "generators", "right", "_idempotents")
+    __slots__ = ("monoid", "elements", "member", "generators", "right", "_idempotents", "__weakref__")
 
     def __init__(self, monoid: FiniteMonoid, elements, generators=None, right=None):
         self.monoid = monoid
         order = monoid.index
-        self.elements = tuple(sorted(set(elements), key=lambda x: order[x]))
+        self.elements = tuple(sorted(set(elements), key=order.__getitem__))
         self.member = frozenset(self.elements)
         self.generators = self.elements if generators is None else tuple(generators)
         self.right = right

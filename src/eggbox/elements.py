@@ -33,6 +33,11 @@ rules are when their entry or component rules are; a table rule starts
 uncertified and :func:`~eggbox.core.generate_monoid` certifies it once a
 closure over its whole table passes the exact associativity test.  A
 plain callable without the attribute counts as uncertified.
+
+A row-monomial rule also has ``right_by(a)``, the right translation
+x -> x·a by a fixed a: it makes the rule's checks and returns the element
+the rule returns, but maps each row of x through a table of a's product
+rows, and :func:`~eggbox.core.generate_monoid` multiplies through it.
 """
 
 from __future__ import annotations
@@ -171,6 +176,15 @@ def make_table_mul(table, label: str):
     return mul
 
 
+class _Rows(dict):
+    """Row (c, v) of X -> its row of X·a, made on first use over ``over`` = a's rows."""
+    __slots__ = ("make", "over")
+
+    def __missing__(self, row):
+        out = self[row] = self.make(row[1], self.over[row[0]])
+        return out
+
+
 def make_rowmono_mul(entry_mul):
     """Product rule for row-monomial matrices over a given entry product.
 
@@ -178,10 +192,10 @@ def make_rowmono_mul(entry_mul):
     of the product is (d, v*w).
 
     Each rule multiplies each distinct entry pair (v, w) once and remembers
-    the product e, checked to be an :class:`Element`, with one row (d, e)
-    per column d, shared by every pair whose product is e: the garbage
-    collector tracks every tuple that holds an element.  The memo belongs
-    to the returned rule and is freed with it.
+    the product e, checked to be an :class:`Element`, and makes one row
+    (d, e) per column d for all products: the garbage collector tracks each
+    tuple holding an element.  Memos, freed with the rule, find a row by v
+    and the row (d, w), or in ``mul.right_by(a)`` by the row (c, v) of X.
 
     The product is built without :func:`row_monomial`, whose checks hold
     already: each column is a column of the validated operand Y, of the
@@ -198,34 +212,49 @@ def make_rowmono_mul(entry_mul):
     (uv)w and u(vw), which agree.  The memo hands back the value
     ``entry_mul`` gave for the pair, so it changes nothing here.
     """
-    memo = {}  # (v, w) -> (v*w, its rows by column)
-    rows_of = {}  # e -> (e, its rows by column), shared by every pair with product e
+    memo = {}  # (v, w) -> v*w
+    shared = {}  # (d, e) -> the one row (d, e) of every product
+    by_row = {}  # (v, (d, w)) -> (d, v*w)
+    known = by_row.get
+
+    def product_row(v, row):
+        # row i of X·Y for row i of X at (c, v) and row c of Y at row = (d, w)
+        e = memo.get((v, row[1]))
+        if e is None:
+            e = entry_mul(v, row[1])
+            if not isinstance(e, Element):
+                raise NotRowMonomial(f"entry {e!r} is not an Element")
+            memo[v, row[1]] = e
+        out = (row[0], e)
+        out = by_row[v, row] = shared.setdefault(out, out)
+        return out
 
     def mul(x: Element, y: Element) -> Element:
         if x.kind != "rowmono" or y.kind != "rowmono":
             raise InconsistentProduct("row-monomial product on non-matrix elements")
-        rx, ry = x.data, y.data
-        n = len(rx)
-        if n != len(ry):
+        ry = y.data
+        if len(x.data) != len(ry):
             raise InconsistentProduct("matrix sizes differ")
         rows = []
-        for c, v in rx:
-            d, w = ry[c]
-            hit = memo.get((v, w))
-            if hit is None:
-                e = entry_mul(v, w)
-                if not isinstance(e, Element):
-                    raise NotRowMonomial(f"entry {e!r} is not an Element")
-                hit = memo[v, w] = rows_of.setdefault(e, (e, {}))
-            e, by_column = hit
-            row = by_column.get(d)
-            if row is None:
-                row = by_column[d] = (d, e)
-            rows.append(row)
+        for c, v in x.data:
+            rows.append(known((v, ry[c])) or product_row(v, ry[c]))
         rows = tuple(rows)
-        return Element("rowmono", rows, ("m", n, rows))
+        return Element("rowmono", rows, ("m", len(rows), rows))
+
+    def right_by(a: Element):
+        n, image = len(a.data), _Rows()
+        image.make, image.over = product_row, a.data
+
+        def times_a(x: Element) -> Element:
+            if x.kind != "rowmono" or a.kind != "rowmono" or len(x.data) != n:
+                return mul(x, a)  # which raises as a product would
+            rows = tuple(map(image.__getitem__, x.data))
+            return Element("rowmono", rows, ("m", n, rows))
+
+        return times_a
 
     mul.associative = getattr(entry_mul, "associative", False)
+    mul.right_by = right_by
     return mul
 
 

@@ -5,23 +5,22 @@ over its generators A has an edge x -> xa for every generator a, the
 left graph an edge x -> ax.  Both are kept on the monoid by the
 enumeration that found M (:func:`~eggbox.core.generate_monoid`), which
 reads the left one off the right one with no product: for x = p·b on x's
-witness word, a·x = (a·p)·b.  Later products of M, but for the maximal subgroup's table, are walks
-along the right graph (:meth:`~eggbox.core.FiniteMonoid.times`).  Since
-M is generated by A, y lies in xM exactly when a path leads from x to y
-in the right graph, so the R-classes are its strongly connected
-components; likewise the L-classes are those of the left graph, and
-H = R ∩ L.  The J-classes are read off those two partitions: in a finite
-monoid J = D = L∘R, a union of whole R-classes and whole L-classes.
+witness word, a·x = (a·p)·b.  Since M is generated by A, y lies in xM
+exactly when a path leads from x to y in the right graph, so the
+R-classes are its strongly connected components; likewise the L-classes
+are those of the left graph, and H = R ∩ L.  The J-classes are read off
+those two partitions: in a finite monoid J = D = L∘R, a union of whole
+R-classes and whole L-classes.
 
-A J-class that no edge leaves is closed under the generators on both
-sides, hence an ideal; the minimal ideal is the one such class, and the
-library refuses to hand one out unless there is exactly one.  The same
-edges certify the Rees coordinates of that ideal, at every size and with
-no sampling.
+The minimal ideal K = MeM and its Rees coordinates need none of that:
+they are read off the translations by an idempotent e, and the same edges
+certify the coordinates at every size.  Other products of M, but for the
+maximal subgroup's table, are walks (:meth:`~eggbox.core.FiniteMonoid.times`).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from .core import (
@@ -46,20 +45,17 @@ from .report import Check, ConstructionReport
 
 
 class GreenStructure:
-    """Eggbox data of a monoid: the four partitions; for R, L and H each
-    element's class number, by element index; and in ``j_sinks`` the
-    J-classes that no Cayley-graph edge leaves, i.e. those closed under the
-    generators on both sides."""
+    """Eggbox data of a monoid: the four partitions, and for R, L and H each
+    element's class number, by element index."""
 
     __slots__ = ("r_classes", "l_classes", "j_classes", "h_classes", "r_class_of",
-                 "l_class_of", "h_class_of", "j_sinks")
+                 "l_class_of", "h_class_of")
 
-    def __init__(self, r, l, j, h, j_sinks):
+    def __init__(self, r, l, j, h):
         self.r_classes, self.r_class_of = r
         self.l_classes, self.l_class_of = l
         self.j_classes = j
         self.h_classes, self.h_class_of = h
-        self.j_sinks = j_sinks
 
 
 def _group_classes(elements, values):
@@ -141,55 +137,46 @@ def green_structure(m: FiniteMonoid) -> GreenStructure:
     if m._green is not None:
         return m._green
     els = m.elements
-    idx = m.index
-    right = m.right
-    if m.left is None:
-        m.left = [[idx[m.mul(a, x)] for a in m.generators] for x in els]
-    left = m.left
-    r_comp = _components(right)
-    l_comp = _components(left)
+    r_comp = _components(m.right)
+    l_comp = _components(m.left_graph())
     j_of_l = {}
     for rc, lc in zip(r_comp, l_comp):
         if j_of_l.get(lc, rc) >= rc:
             j_of_l[lc] = rc
     j_comp = [j_of_l[lc] for lc in l_comp]
-
-    r = _group_classes(els, r_comp)
-    l = _group_classes(els, l_comp)
-    j, j_of = _group_classes(els, j_comp)
-    h = _group_classes(els, zip(r_comp, l_comp))
-
-    # a J-class is a sink when no edge of either graph leaves it
-    exits = set()
-    for graph in (right, left):
-        for ji, succ in zip(j_of, graph):
-            for w in succ:
-                if j_of[w] != ji:
-                    exits.add(ji)
-    j_sinks = tuple(ci for ci in range(len(j)) if ci not in exits)
-    gs = GreenStructure(r, l, j, h, j_sinks)
+    gs = GreenStructure(_group_classes(els, r_comp), _group_classes(els, l_comp),
+                        _group_classes(els, j_comp)[0], _group_classes(els, zip(r_comp, l_comp)))
     m._green = gs
     return gs
 
 
 def minimal_ideal(m: FiniteMonoid) -> SubSemigroup:
-    """The unique minimal two-sided ideal K (cached on M).
+    """The minimal ideal K = MeM for an idempotent e whose local monoid eMe
+    is a group (cached on M by a weak reference: K's pointer makes no cycle).
 
-    Green's classification already tested every J-class for closure under
-    the generators on both sides, edge by edge of the Cayley graphs.  A
-    closed class is an ideal, and one is reachable from every element, so
-    exactly one closed class must exist and it is MxM for each of its x.
-    K holds an idempotent with no search: for x in K every power x^k lies
-    in the ideal K, and so does x^ω, the idempotent among them.
+    e starts at the ω-power of the last element.  An idempotent f ≠ e in
+    eMe = {(e·x)·e} has f = ef = fe, so f lies strictly below e in the
+    J-order (f J e would give f H e in a stable monoid, so f = e); e moves
+    to f, which ends as M is finite.  When e is the only idempotent of eMe,
+    each x^ω = e and eMe is a group; then e lies in K, as for k in K, eke
+    lies in eMe ∩ K and so does e = (eke)(eke)⁻¹ (Howie, *Fundamentals of
+    Semigroup Theory*, 1995, ch. 3).  K = (Me)M is the right closure of Me.
     """
-    if m._ideal is not None:
-        return m._ideal
-    gs = green_structure(m)
-    if len(gs.j_sinks) != 1:
-        raise InternalInconsistency(f"{len(gs.j_sinks)} J-classes are closed under the generators; "
-                                    "the minimal ideal must be the only one")
-    m._ideal = SubSemigroup(m, gs.j_classes[gs.j_sinks[0]])
-    return m._ideal
+    ideal = m._ideal and m._ideal()
+    if ideal is not None:
+        return ideal
+    if any(t >= len(m.generators) for t in m.last[1:]):
+        raise InternalInconsistency(f"the witness words of {m.name!r} use letters that are not generators")
+    f = m.index[omega_power(m, m.elements[-1])]
+    while f is not None:
+        e, xe = f, m.right_translation(f)
+        local = sorted({xe[j] for j in m.left_translation(e)})
+        f = next((z for z in local if z != e and m.times(z, z) == z), None)
+    right = m.right
+    found = closure(xe, range(len(m.generators)), lambda z, t: right[z][t], len(m), key=None)[1]
+    ideal = SubSemigroup(m, [m.elements[i] for i in found])
+    m._ideal = weakref.ref(ideal)
+    return ideal
 
 
 def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[SubSemigroup] = None) -> FiniteGroup:
@@ -207,6 +194,11 @@ def maximal_subgroup(m: FiniteMonoid, e: Element, ideal: Optional[SubSemigroup] 
             raise InternalInconsistency(f"{u!r} in the H-class of e is not fixed by e")
     if ideal is not None and e in ideal and not all(u in ideal for u in units):
         raise InternalInconsistency("the H-class of a kernel idempotent leaves the minimal ideal")
+    return _group_on(m, e, units)
+
+
+def _group_on(m: FiniteMonoid, e: Element, units) -> FiniteGroup:
+    """The group closed from ``units``, H_e in element order, as seeds."""
     gm = generate_monoid(units, m.mul, identity=e, name=f"G[{m.name}]")
     if len(gm.elements) != len(units):
         raise InternalInconsistency("unit set of eMe is not closed")
@@ -220,8 +212,8 @@ class ReesCoordinates:
     b indexing L-classes and g in the maximal subgroup at the base
     idempotent; ``point`` is the inverse map.  Row b0 = 0 and column a0 = 0
     of the sandwich matrix are the identity, and the base idempotent sits at
-    (0, 1, 0).  The rescaled class representatives that realize the
-    normalization are kept in ``row_reps`` and ``col_reps``.
+    (0, 1, 0).  ``row_reps`` and ``col_reps`` are the idempotents at
+    (a, 1, 0) and (0, 1, b), which realize the normalization.
     """
 
     __slots__ = (
@@ -260,73 +252,54 @@ class ReesCoordinates:
 
 
 def rees_coordinates(m: FiniteMonoid, ideal: SubSemigroup, e: Element) -> ReesCoordinates:
-    """Coordinatize the minimal ideal as a normalized Rees matrix semigroup,
-    checked on every generator edge by :func:`_check_rees_law`.  Products
-    of M are walks by element index (:meth:`FiniteMonoid.times`)."""
+    """Coordinatize the minimal ideal I as a normalized Rees matrix
+    semigroup from the translations by e, checked on every generator edge
+    by :func:`_check_rees_law`.
+
+    By Rees's theorem I has coordinates with e at (0, 1, 0) and row 0 and
+    column 0 of the sandwich matrix P trivial (Howie, 1995, ch. 3).  There
+    x = (i, p, λ) has x·e = (i, p, 0), e·x = (0, p, λ), e·x·e = p, so
+    G = eIe = H_e; z = x·e gives z·(e·z)⁻¹ = (i, 1, 0) = u_i, w = e·x gives
+    (w·e)⁻¹·w = (0, 1, λ) = v_λ, and v_λ·u_i = P(λ, i).  So x sits at
+    (row of x·e, e·x·e, column of e·x), labels numbered as they first appear
+    in I, e's first, and G is closed from eIe as :func:`maximal_subgroup`
+    closes H_e.  Words are walked per label and entry of P, none per cell.
+    """
     if e not in ideal:
         raise NotInMinimalIdeal(f"{e!r} is not in the minimal ideal")
     idx, els, times = m.index, m.elements, m.times
-    group = maximal_subgroup(m, e, ideal=ideal)
     ei = idx[e]
-    gset = set(group.elements)
+    ex, xe = m.left_translation(ei), m.right_translation(ei)
+    if xe[ei] != ei:
+        raise NotIdempotent(f"{e!r} is not idempotent")
+    at = [idx[x] for x in ideal.elements]
+    group = _group_on(m, e, [els[i] for i in sorted({xe[ex[i]] for i in at})])
+    inv = {idx[g]: idx[group.inverse(g)] for g in group.elements}  # by index in M
+    rows, cols = {ei: 0}, {ei: 0}  # label -> its number: e's first, then as they appear
+    row_at, col_at = {}, {}  # x·e -> its row, e·x -> its column
+    for i in at:
+        z, w = xe[i], ex[i]
+        if z not in row_at:
+            if ex[z] not in inv:
+                raise InternalInconsistency(f"e·z escapes the maximal subgroup at z = {els[z]!r}")
+            row_at[z] = rows.setdefault(times(z, inv[ex[z]]), len(rows))
+        if w not in col_at:  # (e·x)·e lies in G, closed from these
+            col_at[w] = cols.setdefault(times(inv[xe[w]], w), len(cols))
+    row_reps, col_reps = list(rows), list(cols)
 
-    # row label of the R-class of x: the idempotent of the cell (R-class of
-    # x, L-class of e); column label: the idempotent of (R-class of e,
-    # L-class of x); both in order of first appearance in I
-    gs = green_structure(m)
-    a_of = {}
-    b_of = {}
-    for x in ideal.elements:
-        r, l = gs.r_class_of[idx[x]], gs.l_class_of[idx[x]]
-        if r not in a_of:
-            a_of[r] = idx[omega_power(m, els[times(idx[x], ei)])]
-        if l not in b_of:
-            b_of[l] = idx[omega_power(m, els[times(ei, idx[x])])]
-    # e's own row and column come first, the others keep their order
-    a_labels = sorted(a_of.values(), key=lambda lab: lab != ei)
-    b_labels = sorted(b_of.values(), key=lambda lab: lab != ei)
+    sandwich = {(b, a): els[times(vb, ua)] for b, vb in enumerate(col_reps) for a, ua in enumerate(row_reps)}
+    if not all(p in group.index for p in sandwich.values()):
+        raise InternalInconsistency("sandwich entry escapes the maximal subgroup")
+    if any(sandwich[(0, a)] != e for a in range(len(row_reps))):
+        raise InternalInconsistency("row b0 of the sandwich matrix is not the identity")
+    if any(sandwich[(b, 0)] != e for b in range(len(col_reps))):
+        raise InternalInconsistency("column a0 of the sandwich matrix is not the identity")
 
-    # rescale so row b0 and column a0 of the sandwich matrix become 1
-    row_reps = []
-    for ua in a_labels:
-        g = els[times(ei, ua)]
-        if g not in gset:
-            raise InternalInconsistency("row rescaling factor escapes the maximal subgroup")
-        row_reps.append(times(ua, idx[group.inverse(g)]))
-    col_reps = []
-    for vb in b_labels:
-        g = els[times(vb, ei)]
-        if g not in gset:
-            raise InternalInconsistency("column rescaling factor escapes the maximal subgroup")
-        col_reps.append(times(idx[group.inverse(g)], vb))
-
-    sandwich = {}
-    for b, vb in enumerate(col_reps):
-        for a, ua in enumerate(row_reps):
-            c = els[times(vb, ua)]
-            if c not in gset:
-                raise InternalInconsistency("sandwich entry escapes the maximal subgroup")
-            sandwich[(b, a)] = c
-    for a in range(len(row_reps)):
-        if sandwich[(0, a)] != e:
-            raise InternalInconsistency("row b0 of the sandwich matrix is not the identity")
-    for b in range(len(col_reps)):
-        if sandwich[(b, 0)] != e:
-            raise InternalInconsistency("column a0 of the sandwich matrix is not the identity")
-
-    coord = {}
-    point = {}
-    for a, ua in enumerate(row_reps):
-        for g in group.elements:
-            uag = times(ua, idx[g])
-            for b, vb in enumerate(col_reps):
-                x = els[times(uag, vb)]
-                if x not in ideal or x in coord:
-                    raise InternalInconsistency("cell enumeration is not a bijection onto I")
-                coord[x] = (a, g, b)
-                point[(a, g, b)] = x
-    if len(coord) != len(ideal.elements):
-        raise InternalInconsistency("coordinate map misses part of the ideal")
+    cells = [(row_at[xe[i]], els[xe[ex[i]]], col_at[ex[i]]) for i in at]
+    coord = dict(zip(ideal.elements, cells))
+    point = dict(zip(cells, ideal.elements))
+    if len(point) != len(at) or len(at) != len(row_reps) * len(group) * len(col_reps):
+        raise InternalInconsistency("cell enumeration is not a bijection onto I")
 
     rc = ReesCoordinates(m, ideal, e, group, tuple(els[u] for u in row_reps),
                          tuple(els[v] for v in col_reps), sandwich, coord, point)
@@ -353,7 +326,6 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
     with r, K fixed by λ and j; at y = u_j, v_λ·u_j is the sandwich entry
     P in G, at (0, P, 0), so K = P.  Hence coord(x·y) = (i, g·P·h, μ).
     """
-    green_structure(m)  # cached; fills m.left on a monoid built without it
     idx = m.index
     one = rc.group.identity
     gels, gpos, gtab = rc.group.elements, rc.group.index, rc.group.table
@@ -362,9 +334,9 @@ def _check_rees_law(m: FiniteMonoid, rc: ReesCoordinates) -> None:
         if rc.coord.get(x) != want:
             raise InternalInconsistency(f"{x!r} does not have the coordinates {want!r}")
     # coordinates by element index, the group part as a table index; edges
-    # from I stay in I, the J-class that no edge leaves
+    # from the ideal I stay in I
     cix = {idx[x]: (a, gpos[g], b) for x, (a, g, b) in rc.coord.items()}
-    right, left = m.right, m.left
+    right, left = m.right, m.left_graph()
     gens = range(len(m.generators))
     col_step = [[cix[right[idx[v]][t]][1:] for v in rc.col_reps] for t in gens]
     row_step = [[cix[left[idx[u]][t]][:2] for u in rc.row_reps] for t in gens]

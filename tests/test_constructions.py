@@ -230,6 +230,24 @@ def test_cover_factorization_detects_a_bad_coordinate(c2_cover_40):
     assert names["idempotent-closure"].witness.endswith("is not its own three-idempotent product")
 
 
+def test_cover_factorization_checks_its_premises():
+    # the factorizations are read along R_y from seeds fixed by y on the
+    # right: a row unit that y moves, or a column unit outside R_y, fails
+    # by name, though each stand-in is an idempotent of the ideal
+    c = build_idempotent_cover(builtin_group("C3"), 5)
+    one = c.rees.group.identity
+    v1, u1 = c.rees.point[(0, one, 1)], c.rees.point[(1, one, 0)]
+    assert c.mul(v1, c.y) != v1
+    for cell, stand_in, witness in (((1, one, 0), v1, f"{short_str(v1)} is not fixed by y on the right"),
+                                    ((0, one, 1), u1, f"column unit {short_str(u1)} is not in R_y")):
+        doctored = copy.copy(c)
+        doctored.rees = copy.copy(c.rees)
+        doctored.rees.point = {**c.rees.point, cell: stand_in}
+        names = {ch.name: ch for ch in verify_cover(doctored).checks}
+        assert (names["idempotent-closure"].status, names["idempotent-closure"].witness) == ("fail", witness)
+    assert verify_cover(c).passed
+
+
 def test_cover_ideal_simple_detects_a_bad_sandwich_entry():
     c = build_idempotent_cover(builtin_group("C3"), 5)
     names = {ch.name: ch for ch in verify_cover(c).checks}

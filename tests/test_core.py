@@ -64,6 +64,20 @@ def test_generate_monoid_words_reproduce_elements():
         assert reduce(m.mul, (m.generators[t] for t in m.word(i)), m.identity) == x
 
 
+def test_translations_are_the_products():
+    # left_translation(i)[j] = x_i·x_j and right_translation(i)[j] = x_j·x_i,
+    # read along the witness words, also on a monoid given no left graph
+    t3 = full_transformation_monoid(3)
+    bare = FiniteMonoid("T3", t3.elements, t3.mul, t3.identity, t3.generators,
+                        t3.prefix, t3.last, t3.first, t3.suffix)
+    for m in (t3, bare):
+        product = [[m.index[m.mul(x, y)] for y in m.elements] for x in m.elements]
+        for i in range(len(m)):
+            assert m.left_translation(i) == product[i]
+            assert m.right_translation(i) == [row[i] for row in product]
+    assert bare.left == t3.left
+
+
 def test_generate_monoid_cap():
     gens = [
         transformation([1, 0, 2, 3]),

@@ -175,8 +175,8 @@ def test_cover_entries_are_shared_objects():
 def test_cover_products_share_one_row_per_column_and_entry(name, n):
     # every element past the generators is a product of the cover's rule,
     # unless it was alive before the rule made it: a cover still alive
-    # from an earlier test would lend this one its elements and their rows
-    gc.collect()
+    # from an earlier test would lend this one its elements and their rows,
+    # but a dropped cover is freed at once, its ideal holding no cycle
     h = builtin_group(name)
     m = build_idempotent_cover(h, n, mode="full", cap=10**20).monoid
     # the rule's products share one row per (column, entry), all n·|H| used
@@ -279,6 +279,46 @@ def test_rowmono_rule_rejects_a_non_element_entry():
     for _ in range(2):  # a rejected entry never enters the memo
         with pytest.raises(NotRowMonomial):
             mul(x, x)
+
+
+def test_right_translations_are_the_rule_products():
+    # right_by(a) gives the very element mul(x, a) gives, on every element
+    # and generator of two covers and of E2's block matrices
+    from eggbox.acceptance import example_problems
+    from eggbox.constructions import solve_embedding
+
+    rules = []
+    for name, n in (("C3", 6), ("S3", 11)):
+        c = build_idempotent_cover(builtin_group(name), n, mode="full")
+        rules.append((c.monoid, c.mul))
+    sol = solve_embedding(example_problems()["E2"], require_full=True)
+    rules.append((sol.mprime, sol.block_mul))
+    for m, mul in rules:
+        for a in m.generators:
+            times_a = mul.right_by(a)
+            assert all(times_a(x) is mul(x, a) for x in m.elements)
+
+
+def test_right_translations_check_what_the_rule_checks():
+    s3 = builtin_group("S3")
+    mul = make_rowmono_mul(s3.mul)
+    a = identity_row_monomial(3, s3.identity)
+
+    def error(f, *args):
+        with pytest.raises(Exception) as exc:
+            f(*args)
+        return exc.type
+
+    # a matrix of the wrong size, a non-matrix, and a non-matrix translation
+    for x, y in ((identity_row_monomial(2, s3.identity), a), (transformation([0, 1, 2]), a),
+                 (a, transformation([0, 1, 2]))):
+        assert error(mul.right_by(y), x) is error(mul, x, y) is InconsistentProduct
+    one = table_element("one", 0)
+    broken = make_rowmono_mul(lambda v, w: "not an element")
+    x = identity_row_monomial(2, one)
+    for _ in range(2):  # a rejected entry never enters a memo
+        with pytest.raises(NotRowMonomial):
+            broken.right_by(x)(x)
 
 
 def test_rowmono_rule_keeps_a_wrong_entry_product():

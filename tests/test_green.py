@@ -1,8 +1,10 @@
+import gc
 import sys
+import weakref
 
 import pytest
 
-from eggbox.constructions import build_idempotent_cover
+from eggbox.constructions import build_idempotent_cover, verify_cover
 from eggbox.core import FiniteMonoid, MonoidHom, SubSemigroup, generate_monoid
 from eggbox.elements import (
     compose_transformations,
@@ -140,13 +142,60 @@ def test_minimal_ideal_of_t3_is_constants():
 
 
 def test_minimal_ideal_needs_exactly_one_closed_class():
-    # with no generators the Cayley graphs have no edges, so every
-    # J-class looks closed and no minimal ideal can be told apart
+    # with no generators the witness words spell letters that no generator
+    # stands for, so the translations by e cannot be read off the Cayley
+    # graphs: one InternalInconsistency, not an IndexError from a walk
     m = t3()
     bare = FiniteMonoid("T3-bare", m.elements, m.mul, m.identity, (),
                         m.prefix, m.last, m.first, m.suffix)
     with pytest.raises(InternalInconsistency):
         minimal_ideal(bare)
+
+
+def test_a_dropped_monoid_needs_no_cycle_collection():
+    # M caches its minimal ideal by a weak reference, so the ideal's
+    # pointer back at M closes no cycle: dropping M frees it at once
+    m = build_idempotent_cover(builtin_group("C3"), 6, mode="full").monoid
+    ideal = minimal_ideal(m)
+    assert minimal_ideal(m) is ideal
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m, ideal
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_full_cover_runs_no_tarjan_pass(monkeypatch):
+    # the minimal ideal and its coordinates are read off the translations
+    # by y, and the verifier reads those: Green's classes are never needed
+    from eggbox import green
+
+    runs = []
+    components = green._components
+    monkeypatch.setattr(green, "_components", lambda succ: runs.append(succ) or components(succ))
+    for name, n in (("C3", 6), ("S3", 11)):
+        assert verify_cover(build_idempotent_cover(builtin_group(name), n, mode="full")).passed
+    assert runs == []
+
+
+def test_rees_coordinates_walk_no_word_per_cell(monkeypatch):
+    # S3 at n = 23: |I| = 3,174 in 23 rows and 23 columns over |G| = 6; a
+    # word is walked for each of the 138 elements of L_y and of R_y, to
+    # label them, and for each of the 529 sandwich entries, but for no cell
+    c = build_idempotent_cover(builtin_group("S3"), 23, mode="full")
+    walks = [0]
+    times = FiniteMonoid.times
+
+    def counted(m, i, j):
+        walks[0] += 1
+        return times(m, i, j)
+
+    monkeypatch.setattr(FiniteMonoid, "times", counted)
+    rc = rees_coordinates(c.monoid, c.ideal, c.y)
+    assert (rc.n_a, len(rc.group), rc.n_b) == (23, 6, 23)
+    assert walks[0] == 138 + 138 + 529
 
 
 def test_maximal_subgroup_at_constant_is_trivial():
@@ -334,7 +383,7 @@ def test_green_runs_tarjan_on_the_two_graphs_only(monkeypatch):
         runs.clear()
         gs = green_structure(m)
         assert runs == [m.right, m.left]
-        assert set(gs.j_classes[gs.j_sinks[0]]) == naive_minimal_ideal_elements(m)
+        assert set(minimal_ideal(m).elements) == naive_minimal_ideal_elements(m)
     # T4's classes meet the oracle in test_green_products_are_linear_in_the_generators
     assert green_counts_agree(cover)
 
